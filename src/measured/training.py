@@ -7,14 +7,23 @@ mixture all have closed-form gradients, checked against central finite
 differences in the test suite.
 
 The optimizer is AdamW with decoupled weight decay and a linear learning
-rate warmup.  Early stopping watches a per-variant validation metric and
-restores the parameters of the best epoch, not the last.  Given the same
-config, seeds, and data, training is bit-reproducible.
+rate warmup.  The encoder projection ``W_S`` is updated lazily, as in
+LazyAdam or ``torch.optim.SparseAdam``: a batch touches only the rows of
+its hashed n-gram buckets, and only rows with a nonzero gradient get the
+Adam step, their moments updated and weight decay.  Untouched rows keep
+their values and moments, so they get no decay and no drift on stale
+momentum; the heads take the dense step.  Early stopping watches a
+per-variant validation metric and restores the parameters of the best
+epoch, not the last.  A non-finite batch loss or validation metric stops
+training with :class:`NonFiniteLoss`.  Given the same config, seeds, and
+data, training is bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,6 +39,10 @@ class ShapeMismatch(ValueError):
 
 class AllZeroCounts(ValueError):
     """Class weighting needs at least one observed example."""
+
+
+class NonFiniteLoss(RuntimeError):
+    """A batch loss or the validation metric became NaN or infinite."""
 
 
 @dataclass(frozen=True)
@@ -125,7 +138,13 @@ def lr_at(step: int, config: TrainConfig) -> float:
 
 @dataclass
 class AdamWState:
-    """First/second moment accumulators plus the shared step counter."""
+    """First/second moment accumulators plus the shared step counter.
+
+    Parameters named in ``row_sparse`` are updated lazily: a step touches
+    only the rows where the gradient is nonzero, so the other rows keep
+    their values and moments, with no weight decay and no drift on stale
+    momentum.  A touched row gets exactly the dense step's arithmetic.
+    """
 
     betas: tuple[float, float] = (0.9, 0.999)
     eps: float = 1e-8
@@ -133,6 +152,24 @@ class AdamWState:
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    row_sparse: frozenset[str] = frozenset()
+
+
+def _small_page_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Zeros whose memory is mapped 4 KiB page by page as rows are written.
+
+    numpy advises the kernel to back large arrays with 2 MiB huge pages, so
+    the first lazy step, which writes a few thousand scattered rows of each
+    moment, would map and zero nearly all of an ``np.zeros`` array.  A
+    private anonymous mapping advised against huge pages maps only the
+    pages of the rows written.  Elsewhere this is plain ``np.zeros``.
+    """
+    if not hasattr(mmap, "MADV_NOHUGEPAGE"):
+        return np.zeros(shape, dtype)
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype).reshape(shape)
 
 
 def adamw_step(
@@ -146,22 +183,36 @@ def adamw_step(
     b1, b2 = state.betas
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
+
+    def update(p, g, m, v):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= lr * ((m / bc1) / (np.sqrt(v / bc2) + state.eps))
+        if state.weight_decay:
+            p -= lr * state.weight_decay * p
+
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ShapeMismatch(
                 f"grad {name} has shape {g.shape}, param has {p.shape}"
             )
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        p -= lr * update
-        if state.weight_decay:
-            p -= lr * state.weight_decay * p
+        if name not in state.m:
+            # unlike zeros_like, which writes every page, these map fresh
+            # zero pages, so rows a lazy update never touches are not written
+            zeros = _small_page_zeros if name in state.row_sparse else np.zeros
+            state.m[name] = zeros(p.shape, p.dtype)
+            state.v[name] = zeros(p.shape, p.dtype)
+        m, v = state.m[name], state.v[name]
+        if name in state.row_sparse:
+            rows = np.flatnonzero(g.any(axis=1))
+            p_rows, m_rows, v_rows = p[rows], m[rows], v[rows]
+            update(p_rows, g[rows], m_rows, v_rows)
+            p[rows], m[rows], v[rows] = p_rows, m_rows, v_rows
+        else:
+            update(p, g, m, v)
     return params
 
 
@@ -378,7 +429,11 @@ def train(
 
     Stops once the validation metric has not improved for ``patience``
     consecutive epochs and restores the best epoch's parameters.  Frozen
-    encoders receive no projection updates.
+    encoders receive no projection updates; a trainable ``W_S`` is updated
+    lazily (see :class:`AdamWState`).  Selects on the training data, with a
+    warning, when the validation split is empty.  Raises
+    :class:`NonFiniteLoss` naming the epoch and step when a batch loss or
+    the validation metric is NaN or infinite.
     """
     if not split.train:
         raise ValueError("training split is empty")
@@ -387,7 +442,14 @@ def train(
     maximize = metric in _MAXIMIZE
 
     train_ex = list(split.train)
-    val_ex = list(split.val) if split.val else train_ex
+    if split.val:
+        val_ex = list(split.val)
+    else:
+        warnings.warn(
+            "validation split is empty: selecting the model on the training data",
+            stacklevel=2,
+        )
+        val_ex = train_ex
     X_train = model.encoder.feature_matrix([ex.masked_text for ex in train_ex])
     X_val = model.encoder.feature_matrix([ex.masked_text for ex in val_ex])
     arrays_train = batch_arrays(model, train_ex)
@@ -407,12 +469,17 @@ def train(
 
     params = model.trainable_parameters()
     opt = AdamWState(
-        betas=config.betas, eps=config.eps, weight_decay=config.weight_decay
+        betas=config.betas,
+        eps=config.eps,
+        weight_decay=config.weight_decay,
+        row_sparse=frozenset({"encoder.W_S"}),
     )
+    # lazy updates never move a W_S row outside the training columns, so
+    # the best-epoch snapshot keeps only those rows
+    touched = np.unique(X_train.indices)
 
     best_value = -math.inf if maximize else math.inf
     best_epoch = 0
-    best_params = {k: v.copy() for k, v in params.items()}
     strikes = 0
     history: list[dict] = []
     step = 0
@@ -424,6 +491,7 @@ def train(
         epoch_loss = 0.0
         n_batches = 0
         for start in range(0, n, config.batch_size):
+            step += 1
             idx = order[start : start + config.batch_size]
             batch = [train_ex[i] for i in idx]
             Xb = X_train[idx]
@@ -436,11 +504,12 @@ def train(
             loss, head_grads, dH = _forward_backward(
                 model, H, sub, dim_weights, unit_weights, want_grads=True
             )
+            if not math.isfinite(loss):
+                raise NonFiniteLoss(f"epoch {epoch}, step {step}: batch loss is {loss}")
             grads = dict(head_grads)
             if "encoder.W_S" in params:
                 grads["encoder.W_S"] = model.encoder.projection_gradient(Xb, dH)
             grads = {k: grads[k] for k in params}
-            step += 1
             lr = lr_at(step, config)
             adamw_step(params, grads, opt, lr)
             epoch_loss += loss
@@ -448,6 +517,10 @@ def train(
 
         H_val = model.encoder.encode_matrix(X_val)
         value = _val_metric(model, metric, H_val, arrays_val, val_ex)
+        if not math.isfinite(value):
+            raise NonFiniteLoss(
+                f"epoch {epoch}, step {step}: validation {metric} is {value}"
+            )
         history.append(
             {
                 "epoch": epoch,
@@ -456,17 +529,25 @@ def train(
                 "lr": lr,
             }
         )
+        # a finite value always improves on the initial infinity, so epoch 1
+        # sets the first snapshot
         improved = value > best_value if maximize else value < best_value
         if improved:
             best_value = value
             best_epoch = epoch
-            best_params = {k: v.copy() for k, v in params.items()}
+            best_params = {
+                k: p[touched] if k in opt.row_sparse else p.copy()
+                for k, p in params.items()
+            }
             strikes = 0
         else:
             strikes += 1
             if strikes >= config.patience:
                 break
 
-    for name, value_ in best_params.items():
-        params[name][...] = value_
+    for name, saved in best_params.items():
+        if name in opt.row_sparse:
+            params[name][touched] = saved
+        else:
+            params[name][...] = saved
     return TrainResult(model, history, best_epoch, best_value, metric)

@@ -152,6 +152,34 @@ class TestTrainEval:
         assert summary["seeds"] == 2
         assert "mean" in summary and "sd" in summary
 
+    def test_checkpoint_written_at_the_given_path(self, tmp_path, workdir, capsys):
+        ckpt = tmp_path / "x.ckpt"
+        code, out, _ = run(
+            [
+                "train",
+                "--data", str(workdir / "corpus.jsonl"),
+                "--out", str(ckpt),
+                "--variant", "dim",
+                "--feature-dim", "512",
+                "--hidden-dim", "8",
+                "--epochs", "1",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["checkpoint"] == str(ckpt)
+        assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]
+        code, _, _ = run(
+            [
+                "eval",
+                "--checkpoint", str(ckpt),
+                "--data", str(workdir / "corpus.jsonl"),
+                "--out", str(tmp_path / "report.json"),
+            ],
+            capsys,
+        )
+        assert code == 0
+
     def test_eval_report(self, workdir, tmp_path, capsys):
         out = tmp_path / "report.json"
         csv_dir = tmp_path / "tables"

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from measured.data import ingest
 from measured.encoding import (
@@ -124,12 +125,38 @@ class TestEncoder:
 
     def test_projection_gradient_matches_dense(self):
         enc = HashedNgramEncoder(EncoderConfig(feature_dim=32, hidden_dim=3), seed=2)
-        texts = ["alpha beta", "gamma delta epsilon"]
+        texts = ["alpha beta", "", "gamma delta epsilon", "alpha beta"]
         X = enc.feature_matrix(texts)
-        dH = np.arange(6, dtype=float).reshape(2, 3)
+        dH = np.arange(12, dtype=float).reshape(4, 3)
         grad = enc.projection_gradient(X, dH)
         assert grad.shape == (32, 3)
         assert np.allclose(grad, X.toarray().T @ dH)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_projection_gradient_is_exact_on_integer_batches(self, seed):
+        """Integer entries make every sum exact, whatever order BLAS adds in."""
+        rng = np.random.default_rng(seed)
+        E, M, B = 64, 5, 7
+        lengths = rng.integers(0, 9, size=B)
+        lengths[rng.integers(B)] = 0  # an empty text
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        # few columns, so rows share columns; a row may repeat a column too
+        indices = rng.integers(0, 12, size=indptr[-1]) * 5
+        values = rng.integers(1, 4, size=indptr[-1]).astype(float)
+        X = sparse.csr_matrix((values, indices, indptr), shape=(B, E))
+        dH = rng.integers(-3, 4, size=(B, M)).astype(float)
+        enc = HashedNgramEncoder(EncoderConfig(feature_dim=E, hidden_dim=M), seed=0)
+        grad = enc.projection_gradient(X, dH)
+        assert np.array_equal(grad, X.toarray().T @ dH)
+        untouched = np.setdiff1d(np.arange(E), indices)
+        assert not grad[untouched].any()
+
+    def test_stored_projection_is_used_and_shape_checked(self):
+        W = np.arange(64 * 4, dtype=float).reshape(64, 4)
+        config = EncoderConfig(feature_dim=64, hidden_dim=4)
+        assert HashedNgramEncoder(config, seed=0, W_S=W).W_S is W
+        with pytest.raises(ValueError, match="W_S shape"):
+            HashedNgramEncoder(config, seed=0, W_S=W[:32])
 
 
 class TestExport:

@@ -489,6 +489,8 @@ class TestCheckpoint:
         assert p1.dimension.name == p2.dimension.name
         assert p1.unit.name == p2.unit.name
         assert p1.canonical_number == p2.canonical_number
+        assert np.array_equal(model.encoder.W_S, again.encoder.W_S)
+        assert set(again.params) == set(model.params)
         for name in model.params:
             assert np.array_equal(model.params[name], again.params[name])
 

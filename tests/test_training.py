@@ -128,6 +128,60 @@ class TestAdamW:
                 {"w": np.zeros(3)}, {"w": np.zeros(4)}, AdamWState(), lr=0.1
             )
 
+    @staticmethod
+    def lazy_and_dense(grads_seq):
+        """Run the lazy and the dense step on the same gradients."""
+        runs = []
+        for row_sparse in (frozenset({"W"}), frozenset()):
+            rng = np.random.default_rng(8)
+            params = {"W": rng.normal(size=(6, 4)), "b": rng.normal(size=4)}
+            state = AdamWState(weight_decay=0.05, row_sparse=row_sparse)
+            for g in grads_seq:
+                adamw_step(params, {"W": g, "b": g[0]}, state, lr=1e-2)
+            runs.append((params, state))
+        return runs
+
+    def test_lazy_step_without_zero_rows_is_the_dense_step(self):
+        rng = np.random.default_rng(6)
+        grads_seq = [rng.normal(size=(6, 4)) for _ in range(5)]
+        (lazy, lazy_state), (dense, dense_state) = self.lazy_and_dense(grads_seq)
+        for name in ("W", "b"):
+            assert np.array_equal(lazy[name], dense[name]), name
+            assert np.array_equal(lazy_state.m[name], dense_state.m[name]), name
+            assert np.array_equal(lazy_state.v[name], dense_state.v[name]), name
+
+    @pytest.mark.parametrize("huge_page_advice", [True, False])
+    def test_lazy_moments_start_as_writable_zeros(
+        self, huge_page_advice, monkeypatch
+    ):
+        if not huge_page_advice:
+            monkeypatch.delattr(training.mmap, "MADV_NOHUGEPAGE", raising=False)
+        zeros = training._small_page_zeros((5, 3), np.float64)
+        assert zeros.shape == (5, 3) and zeros.dtype == np.float64
+        assert not zeros.any()
+        zeros[2] = 1.0
+        assert zeros.sum() == 3.0
+
+    def test_lazy_step_leaves_zero_gradient_rows_alone(self):
+        rng = np.random.default_rng(7)
+        warm = [rng.normal(size=(6, 4)) for _ in range(3)]
+        g = rng.normal(size=(6, 4))
+        zero = [1, 4]
+        g[zero] = 0.0
+        g[2, :-1] = 0.0  # a row with one nonzero entry is touched
+        (before, before_state), _ = self.lazy_and_dense(warm)
+        (lazy, lazy_state), (dense, dense_state) = self.lazy_and_dense([*warm, g])
+        touched = [0, 2, 3, 5]
+        for ours, theirs, ref in (
+            (lazy["W"], dense["W"], before["W"]),
+            (lazy_state.m["W"], dense_state.m["W"], before_state.m["W"]),
+            (lazy_state.v["W"], dense_state.v["W"], before_state.v["W"]),
+        ):
+            assert np.array_equal(ours[zero], ref[zero])
+            assert np.array_equal(ours[touched], theirs[touched])
+            assert not np.array_equal(ours[zero], theirs[zero])
+        assert np.array_equal(lazy["b"], dense["b"])
+
 
 class TestGradients:
     def test_softmax_ce_closed_form(self, toy_registry):
@@ -284,6 +338,45 @@ class TestTrainLoop:
         before = model.encoder.W_S.copy()
         train(model, corpus, self.config(max_epochs=2))
         assert not np.array_equal(model.encoder.W_S, before)
+
+    def test_untouched_projection_rows_keep_their_initial_values(
+        self, registry, corpus
+    ):
+        model = small_model(registry, "joint", seed=13)
+        before = model.encoder.W_S.copy()
+        train(model, corpus, self.config(max_epochs=3))
+        X = model.encoder.feature_matrix([ex.masked_text for ex in corpus.train])
+        touched = np.unique(X.indices)
+        untouched = np.setdiff1d(np.arange(len(before)), touched)
+        assert len(untouched) > 0
+        assert np.array_equal(model.encoder.W_S[untouched], before[untouched])
+        moved = (model.encoder.W_S[touched] != before[touched]).any(axis=1)
+        assert moved.all()
+
+    def test_nan_head_weight_stops_training(self, registry, corpus):
+        model = small_model(registry, "joint", seed=14)
+        model.params["W_D"][0, 0] = np.nan
+        with pytest.raises(training.NonFiniteLoss, match="epoch 1, step 1: batch loss"):
+            train(model, corpus, self.config())
+
+    def test_nonfinite_validation_metric_stops_training(
+        self, registry, corpus, monkeypatch
+    ):
+        monkeypatch.setattr(training, "_val_metric", lambda *args: math.inf)
+        model = small_model(registry, "number", seed=15)
+        with pytest.raises(
+            training.NonFiniteLoss, match=r"epoch 1, step \d+: validation"
+        ):
+            train(model, corpus, self.config())
+
+    def test_empty_val_split_warns(self, registry, corpus):
+        from measured.data import DatasetSplit
+
+        model = small_model(registry, "dim", seed=16)
+        no_val = DatasetSplit(corpus.train, [], corpus.test, 0)
+        with pytest.warns(UserWarning, match="validation split is empty"):
+            result = train(model, no_val, self.config(max_epochs=1))
+        assert len(result.history) == 1
 
     def test_bit_exact_reproducibility(self, registry, corpus):
         def run():
