@@ -306,6 +306,21 @@ class TestEvaluate:
         mapped = set(dim["latent_mapping"].values())
         assert len(mapped) == len(registry.dimensions)  # a bijection
 
+    @pytest.mark.parametrize("variant", ["dim-number", "joint-unit"])
+    def test_dim_given_y_probe_matches_scalar_posterior_loop(
+        self, variant, registry, corpus
+    ):
+        enc = HashedNgramEncoder(EncoderConfig(feature_dim=1024, hidden_dim=10), seed=2)
+        model = MeasurementModel(ModelSpec(variant, 10), registry, enc, seed=2)
+        section = evaluate(model, corpus, probes=("dim-given-y",)).probes["dim-given-y"]
+        pred = []
+        for ex in corpus.test:
+            post = model.posterior_dim(model.encode(ex.masked_text), ex.canonical_number)
+            pred.append(registry.dimensions[int(np.argmax(post))].name)
+        labels = section["confusion"]["labels"]
+        gold = [ex.dimension.name for ex in corpus.test]
+        assert section["confusion"]["matrix"] == confusion(gold, pred, labels).tolist()
+
     def test_gold_conditioning_included_for_dim_number(self, registry, corpus):
         model = quick_model(registry, corpus, "dim-number", epochs=2)
         report = evaluate(model, corpus, probes=("num",))

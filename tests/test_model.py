@@ -427,11 +427,21 @@ class TestPredictNumberPaths:
     def test_batch_matches_scalar(self, toy_registry):
         rng = np.random.default_rng(3)
         H = rng.normal(size=(12, M))
-        for variant in ("number", "dim-number", "joint", "joint-unit", "latent-dim"):
-            model = make_model(toy_registry, variant, seed=47)
+        cases = [
+            (variant, False)
+            for variant in ("number", "dim-number", "joint", "joint-unit", "latent-dim")
+        ] + [("dim-number", True), ("joint", True)]
+        for variant, mixture in cases:
+            model = make_model(
+                toy_registry, variant, seed=47, mixture_number_prediction=mixture
+            )
             batch = model.predict_number_batch(H)
             single = np.array([model.predict_number(H[i]) for i in range(len(H))])
-            assert np.allclose(batch, single, rtol=1e-9), variant
+            assert np.allclose(batch, single, rtol=1e-9), (variant, mixture)
+            if variant == "latent-dim" or mixture:
+                medians = model.mixture_median_locations(H)
+                one_by_one = [model.mixture_median_location(h) for h in H]
+                assert np.allclose(medians, one_by_one, atol=1e-9), variant
 
     def test_mixture_median_single_component(self, one_dim_registry):
         enc = HashedNgramEncoder(EncoderConfig(feature_dim=64, hidden_dim=M), seed=0)

@@ -226,6 +226,19 @@ class TestGradients:
                     name,
                 )
 
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_batch_loss_is_mean_of_per_example_joint_nll(
+        self, variant, registry, corpus
+    ):
+        examples = corpus.train[:9]
+        model = small_model(registry, variant, seed=9, hidden=7, features=256)
+        per_example = [
+            model.joint_nll(model.encode(ex.masked_text), ex) for ex in examples
+        ]
+        assert batch_loss(model, examples) == pytest.approx(
+            np.mean(per_example), rel=1e-12
+        )
+
     def test_frozen_encoder_has_no_projection_gradient(self, registry, corpus):
         model = small_model(registry, "dim", seed=2, frozen=True)
         _, grads = gradients(model, corpus.train[:4])
