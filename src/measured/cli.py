@@ -256,7 +256,7 @@ def cmd_train(args) -> int:
     train_config = _train_config(args)
 
     metrics = []
-    first_model = None
+    first_model = first_result = None
     for i in range(args.seeds):
         seed = args.seed + i
         if args.resume:
@@ -274,7 +274,7 @@ def cmd_train(args) -> int:
         result = training.train(model, split, replace(train_config, seed=seed))
         metrics.append(result.best_value)
         if first_model is None:
-            first_model = model
+            first_model, first_result = model, result
             if args.history:
                 data_mod.write_jsonl(args.history, result.history)
         print(
@@ -286,12 +286,8 @@ def cmd_train(args) -> int:
     out = args.out or "model.npz"
     save_model(first_model, out)
     summary = {
-        "variant": args.variant,
-        "selection_metric": training.TrainConfig().resolve(
-            args.frozen, args.variant
-        ).selection_metric
-        if args.selection_metric is None
-        else args.selection_metric,
+        "variant": first_model.spec.variant,
+        "selection_metric": first_result.selection_metric,
         "seeds": args.seeds,
         "mean": float(np.mean(metrics)),
         "sd": float(np.std(metrics, ddof=1)) if len(metrics) > 1 else 0.0,

@@ -189,12 +189,6 @@ class HashedNgramEncoder:
     def parameters(self) -> dict[str, np.ndarray]:
         return {"W_S": self.W_S}
 
-    def set_parameters(self, params: dict[str, np.ndarray]) -> None:
-        W = np.asarray(params["W_S"])
-        if W.shape != self.W_S.shape:
-            raise ValueError(f"W_S shape {W.shape} != {self.W_S.shape}")
-        self.W_S = W.copy()
-
 
 def export_embeddings(
     encoder: HashedNgramEncoder,

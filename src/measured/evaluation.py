@@ -10,14 +10,17 @@ The latent-dimension model is scored by building a contingency matrix of
 (latent class, true dimension) counts, solving the maximum-weight
 assignment between latent classes and dimensions, and applying that
 mapping before computing classification metrics.
+
+The probes a variant answers are part of its :class:`~measured.model.Variant`
+record.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from measured.data import (
     DatasetSplit,
@@ -25,7 +28,7 @@ from measured.data import (
     NonPositiveNumber,
     lower_median,
 )
-from measured.model import MeasurementModel, MissingHead
+from measured.model import VARIANT_RECORDS, MeasurementModel, MissingHead
 from measured.units import Dimension, manhattan_distance
 
 
@@ -168,80 +171,29 @@ def build_contingency(
     return matrix
 
 
-def _min_cost_assignment(cost: np.ndarray) -> list[int]:
-    """Square min-cost assignment via shortest augmenting paths (O(n^3))."""
-    n = cost.shape[0]
-    INF = math.inf
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    match = [0] * (n + 1)  # match[j] = row assigned to column j (1-based)
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        match[0] = i
-        j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = match[j0]
-            delta = INF
-            j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    row_to_col = [0] * n
-    for j in range(1, n + 1):
-        if match[j]:
-            row_to_col[match[j] - 1] = j - 1
-    return row_to_col
-
-
 def hungarian_map(contingency: np.ndarray) -> np.ndarray:
     """Bijection latent class -> true class maximizing matched counts.
 
-    ``mapping[latent_index] = true_index``.  Maximization runs as a
-    min-cost assignment on the negated matrix.
+    ``mapping[latent_index] = true_index``, solved by
+    ``scipy.optimize.linear_sum_assignment``.  When several bijections tie
+    for the maximum, which one is returned is the solver's choice, and it
+    may differ from the hand-written solver this replaced.
     """
     matrix = np.asarray(contingency, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise NonSquare(f"contingency matrix must be square, got {matrix.shape}")
-    return np.array(_min_cost_assignment(-matrix), dtype=np.int64)
+    _, cols = linear_sum_assignment(matrix, maximize=True)
+    return cols.astype(np.int64)
 
 
 # -- the evaluation harness --------------------------------------------------------------
 
 PROBES = ("dim", "dim-given-y", "unit", "num")
 
-_SUPPORTED = {
-    "dim": {"dim", "dim-unit", "dim-number", "joint", "joint-unit", "latent-dim"},
-    "dim-given-y": {"dim-number", "joint-unit"},
-    "unit": {"dim-unit", "joint", "joint-unit"},
-    "num": {"number", "dim-number", "joint", "joint-unit", "latent-dim"},
-}
-
 
 def supported_probes(variant: str) -> tuple[str, ...]:
-    return tuple(p for p in PROBES if variant in _SUPPORTED[p])
+    """The probes the variant answers, from its :class:`Variant` record."""
+    return VARIANT_RECORDS[variant].probes
 
 
 @dataclass
@@ -288,12 +240,13 @@ def evaluate(
     for a probe the variant cannot answer raises :class:`MissingHead`.
     """
     variant = model.spec.variant
+    record = model.spec.record
     if probes is None:
-        probes = supported_probes(variant)
+        probes = record.probes
     for probe in probes:
         if probe not in PROBES:
             raise ValueError(f"unknown probe {probe!r}")
-        if variant not in _SUPPORTED[probe]:
+        if probe not in record.probes:
             raise MissingHead(f"variant {variant!r} cannot answer probe {probe!r}")
 
     reg = model.registry
@@ -349,7 +302,7 @@ def evaluate(
         return section
 
     if "dim" in probes:
-        if variant == "latent-dim":
+        if record.number == "mixture":  # the dimension is latent
             latent = model.argmax_dimension_indices(H)
             cont = build_contingency(latent, gold_di, len(reg.dimensions))
             mapping = hungarian_map(cont)
@@ -368,12 +321,7 @@ def evaluate(
             report.probes["dim"] = dim_section(model.argmax_dimension_indices(H))
 
     if "dim-given-y" in probes:
-        pred = np.array(
-            [
-                int(np.argmax(model.posterior_dim(H[i], test[i].canonical_number)))
-                for i in range(len(test))
-            ]
-        )
+        pred = np.argmax(model.posterior_dims(H, gold_numbers), axis=1)
         report.probes["dim-given-y"] = dim_section(pred)
 
     if "unit" in probes:
@@ -394,7 +342,7 @@ def evaluate(
         section["confusion_by_dimension"] = per_dim
         report.probes["unit"] = section
 
-        if "W_D" in model.params:
+        if "D" in record.heads:
             pred_di = model.argmax_dimension_indices(H)
             pred_pred_cond = model.argmax_unit_indices_given(H, pred_di)
             section = _classification_section(
@@ -414,17 +362,12 @@ def evaluate(
                 "unit": groupwise_log_mae(test, pred, "unit"),
             },
         }
-        MU = model.number_locations(H)
-        rows = np.arange(len(test))
-        if variant in ("dim-number", "joint"):
-            gold_cond = 10.0 ** MU[rows, gold_di]
-            report.probes["num-given-gold-dim"] = {
-                "log_mae": log_mae(gold_numbers, gold_cond)
-            }
-        if variant == "joint-unit":
+        given = {"per-dim": "dim", "per-unit": "unit"}.get(record.number)
+        if given:
             gold_ui = np.array([reg.unit_index(ex.unit) for ex in test])
-            gold_cond = 10.0 ** MU[rows, gold_ui]
-            report.probes["num-given-gold-unit"] = {
+            cols = model._columns_given(gold_di, gold_ui)
+            gold_cond = 10.0 ** model.number_locations(H)[np.arange(len(test)), cols]
+            report.probes[f"num-given-gold-{given}"] = {
                 "log_mae": log_mae(gold_numbers, gold_cond)
             }
 

@@ -23,6 +23,19 @@ Variants (factorization of the joint given text S):
 ``latent-dim`` sum_D p(D|S) p(Y|D,S)  (D never supervised)
 =============  =====================================================
 
+Each row of the table is one :class:`Variant` record in ``VARIANT_RECORDS``:
+the heads the variant owns, the kind of number column (none, single, per
+dimension, per unit, or per dimension mixed over a latent D), its default
+model-selection metric and the evaluation probes it answers.  The code
+reads the record and never branches on a variant's name.
+
+The loss exists once, batched over the rows of an encoded batch ``H``:
+:func:`_forward_backward` sums the terms of the variant's factors and
+returns their analytic gradients.  The per-example losses (``joint_nll``,
+``number_nll``, ``latdim_nll``) and the single-row read-outs
+(``predict_number``, ``mixture_median_location``, ``posterior_dim``) run
+the batched code on ``h[None]``.
+
 All losses and locations use base-10 logarithms throughout, so a loss of 1
 means "off by one decade".  Inference methods are pure given parameters and
 safe for concurrent readers; only the training loop mutates parameters.
@@ -43,27 +56,50 @@ from measured.units import Dimension, Unit, UnitRegistry, convert
 
 LN10 = math.log(10.0)
 LAPLACE_SCALE = 1.0  # fixed; the number loss is plain L1 in log10 space
+CHECKPOINT_FORMAT = "measured-checkpoint-v2"
 
-VARIANTS = (
-    "dim",
-    "dim-unit",
-    "number",
-    "dim-number",
-    "joint",
-    "joint-unit",
-    "latent-dim",
-)
 
-# which heads each variant owns; number-head width is resolved per registry
-_HEADS = {
-    "dim": ("D",),
-    "dim-unit": ("D", "U"),
-    "number": ("Y",),
-    "dim-number": ("D", "Y"),
-    "joint": ("D", "U", "Y"),
-    "joint-unit": ("D", "U", "Y"),
-    "latent-dim": ("D", "Y"),
+@dataclass(frozen=True)
+class Variant:
+    """One factorization of the joint p(D, U, Y | S), as data.
+
+    ``heads`` are the linear heads the variant owns, among ``"D"``, ``"U"``
+    and ``"Y"``.  ``number`` is the kind of number column: ``"none"``,
+    ``"single"`` (p(Y|S)), ``"per-dim"`` (p(Y|D,S)), ``"per-unit"``
+    (p(Y|U,S)), or ``"mixture"`` (one column per dimension, summed over a
+    latent D that is never supervised).  ``selection_metric`` is the default
+    early-stopping metric and ``probes`` the evaluation probes it answers.
+    """
+
+    name: str
+    heads: tuple[str, ...]
+    number: str
+    selection_metric: str
+    probes: tuple[str, ...]
+
+
+VARIANT_RECORDS: dict[str, Variant] = {
+    v.name: v
+    for v in (
+        Variant("dim", ("D",), "none", "macro-f1", ("dim",)),
+        Variant("dim-unit", ("D", "U"), "none", "macro-f1", ("dim", "unit")),
+        Variant("number", ("Y",), "single", "log-mae", ("num",)),
+        Variant(
+            "dim-number", ("D", "Y"), "per-dim", "joint-nll",
+            ("dim", "dim-given-y", "num"),
+        ),
+        Variant(
+            "joint", ("D", "U", "Y"), "per-dim", "joint-nll",
+            ("dim", "unit", "num"),
+        ),
+        Variant(
+            "joint-unit", ("D", "U", "Y"), "per-unit", "joint-nll",
+            ("dim", "dim-given-y", "unit", "num"),
+        ),
+        Variant("latent-dim", ("D", "Y"), "mixture", "joint-nll", ("dim", "num")),
+    )
 }
+VARIANTS = tuple(VARIANT_RECORDS)
 
 
 class MissingHead(RuntimeError):
@@ -83,22 +119,28 @@ class ModelSpec:
     mixture_number_prediction: bool = False
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
+        if self.variant not in VARIANT_RECORDS:
             raise ValueError(
                 f"unknown variant {self.variant!r}; choose from {VARIANTS}"
             )
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be >= 1")
 
+    @property
+    def record(self) -> Variant:
+        """The :class:`Variant` record of ``variant``."""
+        return VARIANT_RECORDS[self.variant]
+
     def number_columns(self, registry: UnitRegistry) -> int:
         """Width of the number head: |dims|, |units|, 1, or 0 if absent."""
-        if self.variant in ("dim-number", "joint", "latent-dim"):
-            return len(registry.dimensions)
-        if self.variant == "joint-unit":
-            return len(registry.units)
-        if self.variant == "number":
+        kind = self.record.number
+        if kind == "none":
+            return 0
+        if kind == "single":
             return 1
-        return 0
+        if kind == "per-unit":
+            return len(registry.units)
+        return len(registry.dimensions)
 
 
 @dataclass(frozen=True)
@@ -124,9 +166,10 @@ def _log_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def _logsumexp(z: np.ndarray) -> float:
-    m = float(np.max(z))
-    return m + math.log(float(np.sum(np.exp(z - m))))
+def _logsumexp(z: np.ndarray) -> np.ndarray:
+    """Log-sum-exp over the last axis."""
+    m = z.max(axis=-1, keepdims=True)
+    return m[..., 0] + np.log(np.exp(z - m).sum(axis=-1))
 
 
 class MeasurementModel:
@@ -161,7 +204,7 @@ class MeasurementModel:
         rng = stream_rng(seed, "head-init", spec.variant)
         bound = 1.0 / math.sqrt(m)
         self.params: dict[str, np.ndarray] = {}
-        heads = _HEADS[spec.variant]
+        heads = spec.record.heads
         if "D" in heads:
             self.params["W_D"] = rng.uniform(
                 -bound, bound, size=(m, len(registry.dimensions))
@@ -224,29 +267,55 @@ class MeasurementModel:
         probs[allowed] = _softmax(z[allowed])
         return probs
 
-    # -- number model -----------------------------------------------------------
+    # -- number columns ---------------------------------------------------------
 
-    def _number_column(
-        self,
-        dimension: Dimension | str | None,
-        unit: Unit | str | None,
-    ) -> int:
-        variant = self.spec.variant
-        if variant == "number":
-            return 0
-        if variant in ("dim-number", "joint", "latent-dim"):
-            if dimension is None:
-                raise ValueError(f"variant {variant!r} conditions on a dimension")
-            return self.registry.dimension_index(
-                dimension if isinstance(dimension, str) else dimension.name
+    def _columns_given(self, dim_index, unit_index):
+        """Number-head column conditioned on the given dimension/unit indices."""
+        kind = self.spec.record.number
+        if kind == "none":
+            raise MissingHead(f"variant {self.spec.variant!r} has no number head")
+        if kind == "single":
+            return np.zeros_like(dim_index)
+        return unit_index if kind == "per-unit" else dim_index
+
+    def _given_indices(
+        self, dimension: Dimension | str | None, unit: Unit | str | None
+    ) -> tuple[int, int]:
+        """Indices of a caller-given dimension and unit, 0 for one not given.
+
+        Raises ValueError when the number column conditions on the one left
+        out.
+        """
+        kind = self.spec.record.number
+        if kind == "per-unit" and unit is None:
+            raise ValueError(f"variant {self.spec.variant!r} conditions on a unit")
+        if kind in ("per-dim", "mixture") and dimension is None:
+            raise ValueError(
+                f"variant {self.spec.variant!r} conditions on a dimension"
             )
-        if variant == "joint-unit":
-            if unit is None:
-                raise ValueError("variant 'joint-unit' conditions on a unit")
-            return self.registry.unit_index(
-                unit if isinstance(unit, str) else unit.name
-            )
-        raise MissingHead(f"variant {variant!r} has no number head")
+        di = 0 if dimension is None else self.registry.dimension_index(dimension)
+        ui = 0 if unit is None else self.registry.unit_index(unit)
+        return di, ui
+
+    def _top_columns(self, H: np.ndarray) -> np.ndarray:
+        """Number-head column of each row's own top dimension and unit."""
+        kind = self.spec.record.number
+        if kind == "single":
+            return np.zeros(len(H), dtype=np.int64)
+        di = self.argmax_dimension_indices(H)
+        if kind == "per-unit":
+            return self.argmax_unit_indices_given(H, di)
+        return di
+
+    @property
+    def _reads_mixture_median(self) -> bool:
+        """Whether the text-only number read-out is the dimension-mixture median."""
+        kind = self.spec.record.number
+        return kind == "mixture" or (
+            kind == "per-dim" and self.spec.mixture_number_prediction
+        )
+
+    # -- per-example losses (the batched loss on one row) -----------------------
 
     def number_nll(
         self,
@@ -264,29 +333,11 @@ class MeasurementModel:
         negative log10 density over the canonical value; both extra terms
         are constant in the parameters, so optimization never needs them.
         """
-        if not canonical_number > 0:
-            raise NonPositiveNumber(f"canonical number must be > 0, got {canonical_number}")
-        col = self._number_column(dimension, unit)
-        mu = float(self.number_locations(h)[col])
-        t = math.log10(canonical_number)
-        value = abs(t - mu) / LAPLACE_SCALE
+        arrays = _one_row(canonical_number, *self._given_indices(dimension, unit))
+        value, _ = _number_term(self, h[None], arrays, None, False)
         if include_normalization:
-            value += math.log10(2.0 * LAPLACE_SCALE) + t
+            value += math.log10(2.0 * LAPLACE_SCALE) + float(arrays.log10_target[0])
         return value
-
-    def _mixture_log10_components(
-        self, h: np.ndarray, canonical_number: float
-    ) -> np.ndarray:
-        """Natural-log summands ln p(d|h) - ln10 * fullNLL_d(y)."""
-        log_prior = _log_softmax(self.dim_logits(h))
-        mu = self.number_locations(h)
-        t = math.log10(canonical_number)
-        full_nll = (
-            np.abs(t - mu) / LAPLACE_SCALE
-            + math.log10(2.0 * LAPLACE_SCALE)
-            + t
-        )
-        return log_prior - LN10 * full_nll
 
     def latdim_nll(self, h: np.ndarray, canonical_number: float) -> float:
         """Marginal number loss ``-log10 sum_d p(d|h) p(y|d,h)``.
@@ -295,75 +346,57 @@ class MeasurementModel:
         mixture is a proper density over the canonical value; the sum runs
         through log-sum-exp for stability.
         """
-        if self.spec.variant != "latent-dim":
-            raise MissingHead("latdim_nll is defined for the 'latent-dim' variant")
-        return self._mixture_nll(h, canonical_number)
-
-    def _mixture_nll(self, h: np.ndarray, canonical_number: float) -> float:
-        if not canonical_number > 0:
-            raise NonPositiveNumber(f"canonical number must be > 0, got {canonical_number}")
-        return -_logsumexp(self._mixture_log10_components(h, canonical_number)) / LN10
-
-    # -- joint loss ---------------------------------------------------------------
+        if self.spec.record.number != "mixture":
+            raise MissingHead(
+                f"latdim_nll needs a latent-dimension mixture; variant "
+                f"{self.spec.variant!r} has none"
+            )
+        arrays = _one_row(canonical_number)
+        return _forward_backward(self, h[None], arrays, None, None, False)[0]
 
     def joint_nll(self, h: np.ndarray, example: MeasurementExample) -> float:
         """Sum of the variant's loss terms for one example (base-10 logs)."""
-        variant = self.spec.variant
-        if variant == "latent-dim":
-            return self._mixture_nll(h, example.canonical_number)
-        total = 0.0
-        if "D" in _HEADS[variant]:
-            di = self.registry.dimension_index(example.dimension)
-            total -= float(_log_softmax(self.dim_logits(h))[di]) / LN10
-        if "U" in _HEADS[variant]:
-            di = self.registry.dimension_index(example.dimension)
-            ui = self.registry.unit_index(example.unit)
-            allowed = self._dim_units[di]
-            z = self.unit_logits(h)[allowed]
-            pos = int(np.searchsorted(allowed, ui))
-            total -= float(_log_softmax(z)[pos]) / LN10
-        if "Y" in _HEADS[variant]:
-            if variant == "joint-unit":
-                total += self.number_nll(
-                    h, example.canonical_number, unit=example.unit
-                )
-            else:
-                total += self.number_nll(
-                    h, example.canonical_number, dimension=example.dimension
-                )
-        return total
+        arrays = batch_arrays(self, [example])
+        return _forward_backward(self, h[None], arrays, None, None, False)[0]
 
     # -- inference -------------------------------------------------------------
 
-    def posterior_dim(self, h: np.ndarray, canonical_number: float) -> np.ndarray:
-        """Dimension distribution after observing the canonical number.
+    def posterior_dims(self, H: np.ndarray, canonical_numbers) -> np.ndarray:
+        """Dimension distribution of each row after observing its number.
 
         Bayes update of ``p(d|h)`` with the number density: the per-
-        dimension density for ``dim-number``, or the dimension's units
-        mixed by ``p(u|d,h)`` for ``joint-unit``.  Computed in log space.
+        dimension density for a per-dimension number head, or the
+        dimension's units mixed by ``p(u|d,h)`` for a per-unit one.
+        Computed in log space; answers the ``dim-given-y`` probe.
         """
-        if not canonical_number > 0:
-            raise NonPositiveNumber(f"canonical number must be > 0, got {canonical_number}")
-        variant = self.spec.variant
-        t = math.log10(canonical_number)
-        if variant == "dim-number":
-            scores = self._mixture_log10_components(h, canonical_number)
-        elif variant == "joint-unit":
-            log_prior = _log_softmax(self.dim_logits(h))
-            z = self.unit_logits(h)
-            mu = self.number_locations(h)
-            scores = np.empty(len(self.registry.dimensions))
-            for di in range(len(self.registry.dimensions)):
-                allowed = self._dim_units[di]
-                log_pu = _log_softmax(z[allowed])
-                log_dens = -LN10 * (np.abs(t - mu[allowed]) / LAPLACE_SCALE)
-                scores[di] = log_prior[di] + _logsumexp(log_pu + log_dens)
-        else:
+        y = np.asarray(canonical_numbers, dtype=float)
+        if not np.all(y > 0):
+            raise NonPositiveNumber(f"canonical numbers must be > 0, got {y}")
+        record = self.spec.record
+        if "dim-given-y" not in record.probes:
             raise MissingHead(
-                "posterior_dim needs a per-dimension or per-unit number head "
-                f"(variant {variant!r})"
+                f"variant {self.spec.variant!r} does not answer the dim-given-y "
+                "probe, so it has no dimension posterior"
             )
-        return _softmax(scores)
+        t = np.log10(y)
+        if record.number == "per-dim":
+            _, _, scores = _mixture_summands(self, H, t)
+        else:
+            log_prior = _log_softmax(self.dim_logits(H), axis=1)
+            Z = self.unit_logits(H)
+            MU = self.number_locations(H)
+            scores = np.empty_like(log_prior)
+            for di, allowed in enumerate(self._dim_units):
+                log_pu = _log_softmax(Z[:, allowed], axis=1)
+                log_dens = -LN10 * (
+                    np.abs(t[:, None] - MU[:, allowed]) / LAPLACE_SCALE
+                )
+                scores[:, di] = log_prior[:, di] + _logsumexp(log_pu + log_dens)
+        return _softmax(scores, axis=1)
+
+    def posterior_dim(self, h: np.ndarray, canonical_number: float) -> np.ndarray:
+        """:meth:`posterior_dims` of a single row."""
+        return self.posterior_dims(h[None], [canonical_number])[0]
 
     def conditional_number(
         self,
@@ -375,76 +408,30 @@ class MeasurementModel:
     ) -> float:
         """Canonical number read from a chosen ("gold") or argmax column.
 
-        ``condition="gold"`` uses the caller-supplied dimension (variant
-        ``dim-number``) or unit (variant ``joint-unit``); ``"argmax"``
-        ignores the arguments and uses the model's own top classes.
+        ``condition="gold"`` uses the caller-supplied dimension (per-dimension
+        number head) or unit (per-unit head); ``"argmax"`` ignores the
+        arguments and uses the model's own top classes.
         """
-        variant = self.spec.variant
-        if variant not in ("dim-number", "joint-unit"):
+        if self.spec.record.number not in ("per-dim", "per-unit"):
             raise MissingHead(
-                f"conditional_number needs variant 'dim-number' or 'joint-unit', "
-                f"got {variant!r}"
+                "conditional_number needs a number head conditioned on a "
+                f"dimension or unit; variant {self.spec.variant!r} has none"
             )
         if condition == "argmax":
-            if variant == "dim-number":
-                di = int(np.argmax(self.dim_logits(h)))
-                dimension, unit = self.registry.dimensions[di], None
-            else:
-                di = int(np.argmax(self.dim_logits(h)))
-                allowed = self._dim_units[di]
-                z = self.unit_logits(h)[allowed]
-                unit = self.registry.units[int(allowed[int(np.argmax(z))])]
-                dimension = None
-        elif condition != "gold":
+            col = self._top_columns(h[None])[0]
+        elif condition == "gold":
+            col = self._columns_given(*self._given_indices(dimension, unit))
+        else:
             raise ValueError(f"condition must be 'gold' or 'argmax', got {condition!r}")
-        col = self._number_column(dimension, unit)
         return 10.0 ** float(self.number_locations(h)[col])
 
     def mixture_median_location(self, h: np.ndarray) -> float:
         """Median of the dimension-mixture number distribution in log10 space."""
-        prior = self.dim_distribution(h)
-        mu = self.number_locations(h)
-
-        def cdf(x: float) -> float:
-            lo = x < mu
-            vals = np.where(
-                lo,
-                0.5 * 10.0 ** ((x - mu) / LAPLACE_SCALE),
-                1.0 - 0.5 * 10.0 ** (-(x - mu) / LAPLACE_SCALE),
-            )
-            return float(prior @ vals)
-
-        lo, hi = float(mu.min()) - 20.0, float(mu.max()) + 20.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if cdf(mid) < 0.5:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-12:
-                break
-        return 0.5 * (lo + hi)
+        return float(self.mixture_median_locations(h[None])[0])
 
     def predict_number(self, h: np.ndarray) -> float:
         """Canonical number predicted from text alone (marginal read-out)."""
-        variant = self.spec.variant
-        if variant == "number":
-            return 10.0 ** float(self.number_locations(h)[0])
-        if variant == "latent-dim" or (
-            variant in ("dim-number", "joint")
-            and self.spec.mixture_number_prediction
-        ):
-            return 10.0 ** self.mixture_median_location(h)
-        if variant in ("dim-number", "joint"):
-            di = int(np.argmax(self.dim_logits(h)))
-            return 10.0 ** float(self.number_locations(h)[di])
-        if variant == "joint-unit":
-            di = int(np.argmax(self.dim_logits(h)))
-            allowed = self._dim_units[di]
-            z = self.unit_logits(h)[allowed]
-            ui = int(allowed[int(np.argmax(z))])
-            return 10.0 ** float(self.number_locations(h)[ui])
-        raise MissingHead(f"variant {variant!r} has no number head")
+        return float(self.predict_number_batch(h[None])[0])
 
     # -- batched inference (H has one row per example) ----------------------------
 
@@ -464,7 +451,7 @@ class MeasurementModel:
         return out
 
     def mixture_median_locations(self, H: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`mixture_median_location` over rows of H."""
+        """Median of each row's dimension-mixture number distribution (log10)."""
         prior = _softmax(self.dim_logits(H), axis=1)
         MU = self.number_locations(H)
         lo = MU.min(axis=1) - 20.0
@@ -486,24 +473,16 @@ class MeasurementModel:
         return 0.5 * (lo + hi)
 
     def predict_number_batch(self, H: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`predict_number` over rows of H."""
-        variant = self.spec.variant
+        """Canonical number predicted from text alone, one per row of H.
+
+        The dimension-mixture median for a latent-dimension model, or for a
+        per-dimension one with ``mixture_number_prediction``; otherwise the
+        location in the column of the row's own top classes.
+        """
         MU = self.number_locations(H)
-        if variant == "number":
-            return 10.0 ** MU[:, 0]
-        if variant == "latent-dim" or (
-            variant in ("dim-number", "joint")
-            and self.spec.mixture_number_prediction
-        ):
+        if self._reads_mixture_median:
             return 10.0 ** self.mixture_median_locations(H)
-        if variant in ("dim-number", "joint"):
-            di = self.argmax_dimension_indices(H)
-            return 10.0 ** MU[np.arange(len(H)), di]
-        if variant == "joint-unit":
-            di = self.argmax_dimension_indices(H)
-            ui = self.argmax_unit_indices_given(H, di)
-            return 10.0 ** MU[np.arange(len(H)), ui]
-        raise MissingHead(f"variant {variant!r} has no number head")
+        return 10.0 ** MU[np.arange(len(H)), self._top_columns(H)]
 
     def predict(self, h: np.ndarray) -> Prediction:
         """Argmax dimension, argmax unit within it, and the located number.
@@ -511,11 +490,10 @@ class MeasurementModel:
         Ties break toward the lowest class index.  The surface number is
         the canonical number converted into the predicted unit.
         """
-        variant = self.spec.variant
-        if variant not in ("joint", "joint-unit"):
+        if not {"D", "U", "Y"} <= set(self.spec.record.heads):
             raise MissingHead(
                 f"full prediction needs dimension, unit, and number heads; "
-                f"variant {variant!r} lacks some"
+                f"variant {self.spec.variant!r} lacks some"
             )
         dim_probs = self.dim_distribution(h)
         di = int(np.argmax(dim_probs))
@@ -523,18 +501,175 @@ class MeasurementModel:
         unit_probs = self.unit_distribution(h, dimension)
         ui = int(np.argmax(unit_probs))
         unit = self.registry.units[ui]
-        if variant == "joint":
-            if self.spec.mixture_number_prediction:
-                mu = self.mixture_median_location(h)
-            else:
-                mu = float(self.number_locations(h)[di])
+        if self._reads_mixture_median:
+            mu = self.mixture_median_location(h)
         else:
-            mu = float(self.number_locations(h)[ui])
+            mu = float(self.number_locations(h)[self._columns_given(di, ui)])
         canonical = 10.0 ** mu
         surface = convert(
             canonical, self.registry.canonical_unit(dimension), unit
         )
         return Prediction(dimension, unit, canonical, surface, dim_probs, unit_probs)
+
+
+# -- the loss, batched -------------------------------------------------------------
+
+@dataclass
+class BatchArrays:
+    """Precomputed per-example index/target arrays for a fixed corpus."""
+
+    dim_index: np.ndarray
+    unit_index: np.ndarray
+    log10_target: np.ndarray
+
+
+def batch_arrays(model: MeasurementModel, examples) -> BatchArrays:
+    reg = model.registry
+    return BatchArrays(
+        dim_index=np.array([reg.dimension_index(ex.dimension) for ex in examples]),
+        unit_index=np.array([reg.unit_index(ex.unit) for ex in examples]),
+        log10_target=np.array(
+            [math.log10(ex.canonical_number) for ex in examples]
+        ),
+    )
+
+
+def _one_row(canonical_number: float, dim_index: int = 0, unit_index: int = 0):
+    """:class:`BatchArrays` of a single row, for the per-example losses."""
+    if not canonical_number > 0:
+        raise NonPositiveNumber(f"canonical number must be > 0, got {canonical_number}")
+    return BatchArrays(
+        np.array([dim_index]),
+        np.array([unit_index]),
+        np.array([math.log10(canonical_number)]),
+    )
+
+
+# Each loss term maps (model, H, arrays, class weights, want_grads) to its
+# batch-mean value and the gradients on the logits of the heads it reads.
+
+def _dim_term(model, H, arrays, weights, want_grads):
+    """Cross-entropy of the gold dimension."""
+    B = H.shape[0]
+    rows = np.arange(B)
+    log_pi = _log_softmax(model.dim_logits(H), axis=1)
+    w = weights[arrays.dim_index] if weights is not None else np.ones(B)
+    loss = float(np.mean(-w * log_pi[rows, arrays.dim_index] / LN10))
+    if not want_grads:
+        return loss, {}
+    dZD = np.exp(log_pi)
+    dZD[rows, arrays.dim_index] -= 1.0
+    dZD *= w[:, None] / LN10
+    return loss, {"D": dZD}
+
+
+def _unit_term(model, H, arrays, weights, want_grads):
+    """Cross-entropy of the gold unit among the units of the gold dimension."""
+    B = H.shape[0]
+    zU = model.unit_logits(H)
+    dZU = np.zeros_like(zU) if want_grads else None
+    w = weights[arrays.unit_index] if weights is not None else np.ones(B)
+    ce = np.empty(B)
+    for di in np.unique(arrays.dim_index):
+        rows_d = np.nonzero(arrays.dim_index == di)[0]
+        allowed = model._dim_units[int(di)]
+        sub = zU[np.ix_(rows_d, allowed)]
+        log_p = _log_softmax(sub, axis=1)
+        pos = np.searchsorted(allowed, arrays.unit_index[rows_d])
+        ce[rows_d] = -log_p[np.arange(len(rows_d)), pos] / LN10
+        if want_grads:
+            dsub = np.exp(log_p)
+            dsub[np.arange(len(rows_d)), pos] -= 1.0
+            dsub *= w[rows_d, None] / LN10
+            dZU[np.ix_(rows_d, allowed)] = dsub
+    loss = float(np.mean(w * ce))
+    return loss, ({"U": dZU} if want_grads else {})
+
+
+def _number_term(model, H, arrays, weights, want_grads):
+    """L1 loss in log10 space of the column the number conditions on."""
+    rows = np.arange(H.shape[0])
+    MU = model.number_locations(H)
+    cols = model._columns_given(arrays.dim_index, arrays.unit_index)
+    mu = MU[rows, cols]
+    t = arrays.log10_target
+    loss = float(np.mean(np.abs(t - mu)))
+    if not want_grads:
+        return loss, {}
+    dMU = np.zeros_like(MU)
+    dMU[rows, cols] = -np.sign(t - mu)
+    return loss, {"Y": dMU}
+
+
+def _mixture_summands(model, H, t):
+    """``ln p(d|h) - ln10 * fullNLL_d(y)`` per row and dimension.
+
+    ``fullNLL_d`` is the number's negative log10 density under column ``d``,
+    normalizer and change of variable included.  Returns the log prior and
+    the locations too.
+    """
+    log_pi = _log_softmax(model.dim_logits(H), axis=1)
+    MU = model.number_locations(H)
+    full_nll = np.abs(t[:, None] - MU) + math.log10(2.0) + t[:, None]
+    return log_pi, MU, log_pi - LN10 * full_nll
+
+
+def _mixture_term(model, H, arrays, weights, want_grads):
+    """Marginal number loss ``-log10 sum_d p(d|h) p(y|d,h)``."""
+    t = arrays.log10_target
+    log_pi, MU, summands = _mixture_summands(model, H, t)
+    lse = _logsumexp(summands)
+    loss = float(np.mean(-lse / LN10))
+    if not want_grads:
+        return loss, {}
+    resp = np.exp(summands - lse[:, None])
+    return loss, {
+        "D": (np.exp(log_pi) - resp) / LN10,
+        "Y": -resp * np.sign(t[:, None] - MU),
+    }
+
+
+def _forward_backward(
+    model: MeasurementModel,
+    H: np.ndarray,
+    arrays: BatchArrays,
+    dim_weights: np.ndarray | None,
+    unit_weights: np.ndarray | None,
+    want_grads: bool,
+):
+    """Mean loss over the batch and, optionally, gradients for the heads.
+
+    The loss sums one term per head the variant owns: dimension and unit
+    cross-entropy, and the number loss of the conditioning column; a latent
+    dimension has the mixture term alone.  Returns ``(loss, head_grads,
+    dH)`` where ``dH`` is the gradient with respect to the encoded batch
+    (for the encoder projection).
+    """
+    record = model.spec.record
+    if record.number == "mixture":
+        terms = [(_mixture_term, None)]
+    else:
+        terms = [
+            (term, weights)
+            for head, term, weights in (
+                ("D", _dim_term, dim_weights),
+                ("U", _unit_term, unit_weights),
+                ("Y", _number_term, None),
+            )
+            if head in record.heads
+        ]
+    B = H.shape[0]
+    loss = 0.0
+    grads: dict[str, np.ndarray] = {}
+    dH = np.zeros_like(H) if want_grads else None
+    for term, weights in terms:
+        value, logit_grads = term(model, H, arrays, weights, want_grads)
+        loss += value
+        for head, dZ in logit_grads.items():
+            grads[f"W_{head}"] = H.T @ dZ / B
+            grads[f"b_{head}"] = dZ.sum(axis=0) / B
+            dH += dZ @ model.params[f"W_{head}"].T / B
+    return loss, grads, dH
 
 
 # -- checkpoints -------------------------------------------------------------------
@@ -547,7 +682,7 @@ def save_model(model: MeasurementModel, path) -> None:
     """
     enc = model.encoder
     meta = {
-        "format": "measured-checkpoint-v1",
+        "format": CHECKPOINT_FORMAT,
         "variant": model.spec.variant,
         "hidden_dim": model.spec.hidden_dim,
         "mixture_number_prediction": model.spec.mixture_number_prediction,
@@ -574,7 +709,13 @@ def load_model(path, registry: UnitRegistry) -> MeasurementModel:
     """Rebuild a model from a checkpoint; the registry must fingerprint-match."""
     with np.load(path, allow_pickle=False) as z:
         meta = json.loads(str(z["__meta__"][()]))
-        if meta.get("format") != "measured-checkpoint-v1":
+        if meta.get("format") == "measured-checkpoint-v1":
+            raise ValueError(
+                f"{path} is a measured-checkpoint-v1 file: v1 fingerprinted the "
+                "registry file's text, comments and layout included, so its "
+                f"registry cannot be checked; retrain to write {CHECKPOINT_FORMAT}"
+            )
+        if meta.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"not a measured checkpoint: {path}")
         if meta["registry_fingerprint"] != registry.fingerprint:
             raise RegistryMismatch(

@@ -1,10 +1,11 @@
 """Mini-batch gradient training for every model variant.
 
-Backpropagation through the linear heads and the encoder projection is
-analytic: softmax cross-entropy, the masked unit softmax, the L1 number
-loss (subgradient 0 at the kink), and the latent-dimension log-sum-exp
-mixture all have closed-form gradients, checked against central finite
-differences in the test suite.
+The loss and its head gradients come from the model's one batched loss,
+``measured.model._forward_backward``; backpropagation through the linear
+heads and the encoder projection is analytic: softmax cross-entropy, the
+masked unit softmax, the L1 number loss (subgradient 0 at the kink), and
+the latent-dimension log-sum-exp mixture all have closed-form gradients,
+checked against central finite differences in the test suite.
 
 The optimizer is AdamW with decoupled weight decay and a linear learning
 rate warmup.  The encoder projection ``W_S`` is updated lazily, as in
@@ -12,8 +13,8 @@ LazyAdam or ``torch.optim.SparseAdam``: a batch touches only the rows of
 its hashed n-gram buckets, and only rows with a nonzero gradient get the
 Adam step, their moments updated and weight decay.  Untouched rows keep
 their values and moments, so they get no decay and no drift on stale
-momentum; the heads take the dense step.  Early stopping watches a
-per-variant validation metric and restores the parameters of the best
+momentum; the heads take the dense step.  Early stopping watches the
+variant's validation metric and restores the parameters of the best
 epoch, not the last.  A non-finite batch loss or validation metric stops
 training with :class:`NonFiniteLoss`.  Given the same config, seeds, and
 data, training is bit-reproducible.
@@ -29,7 +30,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from measured.data import DatasetSplit
-from measured.model import LN10, MeasurementModel, _log_softmax
+from measured.model import (
+    VARIANT_RECORDS,
+    BatchArrays,
+    MeasurementModel,
+    _forward_backward,
+    batch_arrays,
+)
 from measured.seeding import stream_rng
 
 
@@ -52,9 +59,9 @@ class TrainConfig:
     ``learning_rate``, ``weighting``, and ``selection_metric`` default to
     ``None`` meaning "resolve automatically": frozen encoders get the
     higher rate 1e-3 and log-frequency class weighting, unfrozen ones get
-    1e-4 and uniform weights; the selection metric follows the variant
-    (macro-F1 for pure classifiers, log-mae for the pure number model,
-    joint NLL otherwise).
+    1e-4 and uniform weights; the selection metric is the variant
+    record's ``selection_metric`` (macro-F1 for pure classifiers, log-mae
+    for the pure number model, joint NLL otherwise).
     """
 
     batch_size: int = 200
@@ -89,21 +96,11 @@ class TrainConfig:
         weighting = self.weighting if self.weighting is not None else (
             "log-frequency" if frozen else "uniform"
         )
-        metric = self.selection_metric or _DEFAULT_METRIC[variant]
+        metric = self.selection_metric or VARIANT_RECORDS[variant].selection_metric
         return replace(
             self, learning_rate=lr, weighting=weighting, selection_metric=metric
         )
 
-
-_DEFAULT_METRIC = {
-    "dim": "macro-f1",
-    "dim-unit": "macro-f1",
-    "number": "log-mae",
-    "dim-number": "joint-nll",
-    "joint": "joint-nll",
-    "joint-unit": "joint-nll",
-    "latent-dim": "joint-nll",
-}
 
 # higher is better only for macro-f1
 _MAXIMIZE = {"macro-f1"}
@@ -217,132 +214,6 @@ def adamw_step(
 
 
 # -- loss and gradients ------------------------------------------------------------
-
-@dataclass
-class BatchArrays:
-    """Precomputed per-example index/target arrays for a fixed corpus."""
-
-    dim_index: np.ndarray
-    unit_index: np.ndarray
-    log10_target: np.ndarray
-
-
-def batch_arrays(model: MeasurementModel, examples) -> BatchArrays:
-    reg = model.registry
-    return BatchArrays(
-        dim_index=np.array([reg.dimension_index(ex.dimension) for ex in examples]),
-        unit_index=np.array([reg.unit_index(ex.unit) for ex in examples]),
-        log10_target=np.array(
-            [math.log10(ex.canonical_number) for ex in examples]
-        ),
-    )
-
-
-def _forward_backward(
-    model: MeasurementModel,
-    H: np.ndarray,
-    arrays: BatchArrays,
-    dim_weights: np.ndarray | None,
-    unit_weights: np.ndarray | None,
-    want_grads: bool,
-):
-    """Mean loss over the batch and, optionally, gradients for the heads.
-
-    Returns ``(loss, head_grads, dH)`` where ``dH`` is the gradient with
-    respect to the encoded batch (for the encoder projection).
-    """
-    variant = model.spec.variant
-    B = H.shape[0]
-    rows = np.arange(B)
-    loss = 0.0
-    grads: dict[str, np.ndarray] = {}
-    dH = np.zeros_like(H) if want_grads else None
-
-    def add_head_grad(name: str, dZ: np.ndarray, W: np.ndarray) -> None:
-        grads[f"W_{name}"] = H.T @ dZ / B
-        grads[f"b_{name}"] = dZ.sum(axis=0) / B
-        nonlocal dH
-        dH += dZ @ W.T / B
-
-    if variant == "latent-dim":
-        zD = model.dim_logits(H)
-        MU = model.number_locations(H)
-        t = arrays.log10_target
-        log_pi = _log_softmax(zD, axis=1)
-        full_nll = (
-            np.abs(t[:, None] - MU) + math.log10(2.0) + t[:, None]
-        )
-        summands = log_pi - LN10 * full_nll
-        m = summands.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.exp(summands - m).sum(axis=1))
-        loss = float(np.mean(-lse / LN10))
-        if want_grads:
-            pi = np.exp(log_pi)
-            resp = np.exp(summands - lse[:, None])
-            dZD = (pi - resp) / LN10
-            dMU = -resp * np.sign(t[:, None] - MU)
-            add_head_grad("D", dZD, model.params["W_D"])
-            add_head_grad("Y", dMU, model.params["W_Y"])
-        return loss, grads, dH
-
-    if variant in ("dim", "dim-unit", "dim-number", "joint", "joint-unit"):
-        zD = model.dim_logits(H)
-        log_pi = _log_softmax(zD, axis=1)
-        w = (
-            dim_weights[arrays.dim_index]
-            if dim_weights is not None
-            else np.ones(B)
-        )
-        loss += float(np.mean(-w * log_pi[rows, arrays.dim_index] / LN10))
-        if want_grads:
-            dZD = np.exp(log_pi)
-            dZD[rows, arrays.dim_index] -= 1.0
-            dZD *= w[:, None] / LN10
-            add_head_grad("D", dZD, model.params["W_D"])
-
-    if variant in ("dim-unit", "joint", "joint-unit"):
-        zU = model.unit_logits(H)
-        dZU = np.zeros_like(zU) if want_grads else None
-        w = (
-            unit_weights[arrays.unit_index]
-            if unit_weights is not None
-            else np.ones(B)
-        )
-        ce = np.empty(B)
-        for di in np.unique(arrays.dim_index):
-            rows_d = np.nonzero(arrays.dim_index == di)[0]
-            allowed = model._dim_units[int(di)]
-            sub = zU[np.ix_(rows_d, allowed)]
-            log_p = _log_softmax(sub, axis=1)
-            pos = np.searchsorted(allowed, arrays.unit_index[rows_d])
-            ce[rows_d] = -log_p[np.arange(len(rows_d)), pos] / LN10
-            if want_grads:
-                dsub = np.exp(log_p)
-                dsub[np.arange(len(rows_d)), pos] -= 1.0
-                dsub *= w[rows_d, None] / LN10
-                dZU[np.ix_(rows_d, allowed)] = dsub
-        loss += float(np.mean(w * ce))
-        if want_grads:
-            add_head_grad("U", dZU, model.params["W_U"])
-
-    if variant in ("number", "dim-number", "joint", "joint-unit"):
-        MU = model.number_locations(H)
-        if variant == "number":
-            cols = np.zeros(B, dtype=np.int64)
-        elif variant == "joint-unit":
-            cols = arrays.unit_index
-        else:
-            cols = arrays.dim_index
-        mu = MU[rows, cols]
-        t = arrays.log10_target
-        loss += float(np.mean(np.abs(t - mu)))
-        if want_grads:
-            dMU = np.zeros_like(MU)
-            dMU[rows, cols] = -np.sign(t - mu)
-            add_head_grad("Y", dMU, model.params["W_Y"])
-
-    return loss, grads, dH
-
 
 def gradients(
     model: MeasurementModel,

@@ -161,7 +161,6 @@ class UnitRegistry:
         units: list[Unit],
         *,
         allow_duplicate_exponents: bool = False,
-        source_text: str | None = None,
     ):
         self._dimensions: tuple[Dimension, ...] = tuple(dimensions)
         self._units: tuple[Unit, ...] = tuple(units)
@@ -171,7 +170,6 @@ class UnitRegistry:
         self._alias_index: dict[str, Unit] = {}
         self._units_of: dict[str, tuple[Unit, ...]] = {}
         self._canonical: dict[str, Unit] = {}
-        self._source_text = source_text
 
         seen_exponents: dict[tuple, str] = {}
         for i, dim in enumerate(self._dimensions):
@@ -282,20 +280,17 @@ class UnitRegistry:
         """Express a measurement in the canonical unit of its dimension."""
         return unit.to_canonical(value), self.canonical_unit(unit.dimension)
 
-    def convert(self, value: float, from_unit: Unit, to_unit: Unit) -> float:
-        return convert(value, from_unit, to_unit)
-
     # -- identity -----------------------------------------------------------
 
     @property
     def fingerprint(self) -> str:
-        """SHA-256 hex digest of the registry source.
+        """SHA-256 hex digest of the registry's canonical form, :meth:`dump`.
 
         Checkpoints embed this so a model is never silently reloaded against
-        a registry with different class orderings.
+        a registry with different class orderings.  Comments, blank lines and
+        layout of the source text do not change it.
         """
-        text = self._source_text if self._source_text is not None else self.dump()
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return hashlib.sha256(self.dump().encode("utf-8")).hexdigest()
 
     def dump(self) -> str:
         """Serialize back to the registry text format (canonical form)."""
@@ -377,7 +372,7 @@ def parse_registry(text: str, **kwargs) -> UnitRegistry:
             )
         else:
             raise RegistryError(f"{where}: unrecognized directive {line.split()[0]!r}")
-    return UnitRegistry(dimensions, units, source_text=text, **kwargs)
+    return UnitRegistry(dimensions, units, **kwargs)
 
 
 def load_registry(path) -> UnitRegistry:

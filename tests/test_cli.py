@@ -180,6 +180,53 @@ class TestTrainEval:
         )
         assert code == 0
 
+    def test_resume_reports_the_checkpoint_variant_and_metric(
+        self, tmp_path, workdir, capsys
+    ):
+        data = ["--data", str(workdir / "corpus.jsonl"), "--epochs", "1"]
+        ckpt = tmp_path / "dim.npz"
+        code, _, _ = run(
+            [
+                "train", *data,
+                "--variant", "dim",
+                "--feature-dim", "512",
+                "--hidden-dim", "8",
+                "--out", str(ckpt),
+            ],
+            capsys,
+        )
+        assert code == 0
+        code, out, _ = run(
+            ["train", *data, "--resume", str(ckpt), "--out", str(tmp_path / "r.npz")],
+            capsys,
+        )
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["variant"] == "dim"
+        assert summary["selection_metric"] == "macro-f1"
+
+    def test_eval_accepts_registry_with_added_comment(self, workdir, tmp_path, capsys):
+        from importlib import resources
+
+        text = (
+            resources.files("measured")
+            .joinpath("resources/default_registry.txt")
+            .read_text(encoding="utf-8")
+        )
+        commented = tmp_path / "registry.txt"
+        commented.write_text("# local copy of the default registry\n" + text)
+        code, _, err = run(
+            [
+                "eval",
+                "--checkpoint", str(workdir / "model.npz"),
+                "--data", str(workdir / "corpus.jsonl"),
+                "--registry", str(commented),
+                "--out", str(tmp_path / "report.json"),
+            ],
+            capsys,
+        )
+        assert code == 0, err
+
     def test_eval_report(self, workdir, tmp_path, capsys):
         out = tmp_path / "report.json"
         csv_dir = tmp_path / "tables"

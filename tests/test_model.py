@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -336,6 +337,15 @@ class TestPosterior:
         expected = np.array(scores) / sum(scores)
         assert np.allclose(model.posterior_dim(h, y), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("variant", ["dim-number", "joint-unit"])
+    def test_batched_posterior_matches_scalar_loop(self, toy_registry, variant):
+        model = make_model(toy_registry, variant, seed=71)
+        H = np.random.default_rng(4).normal(size=(9, M))
+        ys = 10.0 ** np.linspace(-3.0, 5.0, 9)
+        batch = model.posterior_dims(H, ys)
+        for h, y, row in zip(H, ys, batch):
+            assert np.allclose(row, model.posterior_dim(h, y), atol=1e-12)
+
     def test_missing_head(self, toy_registry):
         with pytest.raises(MissingHead):
             make_model(toy_registry, "dim").posterior_dim(rand_h(), 1.0)
@@ -510,6 +520,34 @@ class TestCheckpoint:
         save_model(model, path)
         with pytest.raises(RegistryMismatch):
             load_model(path, registry)
+
+    def test_comments_and_blank_lines_keep_the_fingerprint(self, tmp_path):
+        from measured.units import parse_registry
+        from tests.conftest import TOY_REGISTRY_TEXT
+
+        plain = parse_registry(TOY_REGISTRY_TEXT)
+        model = make_model(plain, "dim", seed=63)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        commented = parse_registry(
+            "# units for the toy corpus\n\n" + TOY_REGISTRY_TEXT.replace("\n", "\n\n")
+        )
+        again = load_model(path, commented)
+        assert np.array_equal(again.params["W_D"], model.params["W_D"])
+
+    def test_v1_checkpoint_refused(self, toy_registry, tmp_path):
+        model = make_model(toy_registry, "dim", seed=67)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        with np.load(path) as z:
+            arrays = dict(z)
+        meta = json.loads(str(arrays["__meta__"][()]))
+        meta["format"] = "measured-checkpoint-v1"
+        arrays["__meta__"] = np.array(json.dumps(meta))
+        with open(path, "wb") as f:
+            np.savez(f, **arrays)
+        with pytest.raises(ValueError, match="v1 fingerprinted the registry file's text"):
+            load_model(path, toy_registry)
 
     def test_frozen_flag_survives(self, toy_registry, tmp_path):
         enc = HashedNgramEncoder(
