@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from measured.data import (
     DatasetSplit,
@@ -179,6 +178,10 @@ def hungarian_map(contingency: np.ndarray) -> np.ndarray:
     for the maximum, which one is returned is the solver's choice, and it
     may differ from the hand-written solver this replaced.
     """
+    # imported here: scipy.optimize adds ~27 MB to every process that loads
+    # it, and only the latent-dimension probe needs it
+    from scipy.optimize import linear_sum_assignment
+
     matrix = np.asarray(contingency, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise NonSquare(f"contingency matrix must be square, got {matrix.shape}")
