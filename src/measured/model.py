@@ -196,9 +196,6 @@ class MeasurementModel:
             np.array([registry.unit_index(u) for u in registry.units_of(d)])
             for d in registry.dimensions
         ]
-        self._unit_dim_index = np.array(
-            [registry.dimension_index(u.dimension) for u in registry.units]
-        )
 
         m = spec.hidden_dim
         rng = stream_rng(seed, "head-init", spec.variant)
@@ -371,7 +368,8 @@ class MeasurementModel:
         """
         y = np.asarray(canonical_numbers, dtype=float)
         if not np.all(y > 0):
-            raise NonPositiveNumber(f"canonical numbers must be > 0, got {y}")
+            bad = y[~(y > 0)][0]
+            raise NonPositiveNumber(f"canonical numbers must be > 0, got {bad}")
         record = self.spec.record
         if "dim-given-y" not in record.probes:
             raise MissingHead(
