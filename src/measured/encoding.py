@@ -9,6 +9,13 @@ counts, and projects with a single matrix:
 
     h = W_S^T x,   W_S in R^{E x M}
 
+Each encoder hashes a distinct token once: it keeps a per-encoder memo from
+a token to the bucket ids of its own n-grams, and from a word n-gram to its
+bucket id.  The memo holds at most ``_MEMO_CAPACITY`` entries and is cleared
+when full; it starts empty whenever an encoder is built.  A miss hashes only
+the n-gram's own bytes, continuing from the FNV-1a state after its kind
+prefix (``w1:``, ``c3:``, ...), which the encoder computes once.
+
 With ``frozen=True`` the projection keeps its random initialization and only
 downstream heads train, which probes whether the fixed representation
 already carries the task signal.
@@ -28,13 +35,19 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _SEED_MIX = 0x9E3779B97F4A7C15
+# memo entries per encoder; a full memo is cleared, not evicted entry by entry
+_MEMO_CAPACITY = 2**14
 
 
-def _hash64(data: bytes, seed: int) -> int:
-    h = (_FNV_OFFSET ^ ((seed * _SEED_MIX) & _MASK64)) or _FNV_OFFSET
+def _fnv1a(data: bytes, h: int) -> int:
+    """Continue a 64-bit FNV-1a hash from state ``h`` over ``data``."""
     for b in data:
         h = ((h ^ b) * _FNV_PRIME) & _MASK64
     return h
+
+
+def _hash64(data: bytes, seed: int) -> int:
+    return _fnv1a(data, (_FNV_OFFSET ^ ((seed * _SEED_MIX) & _MASK64)) or _FNV_OFFSET)
 
 
 @dataclass(frozen=True)
@@ -67,40 +80,92 @@ class FeatureVector:
         return dense
 
 
-def ngram_strings(text: str, config: EncoderConfig) -> list[str]:
-    """All word and character n-grams of the text, kind-tagged.
+def _token_grams(token: str, config: EncoderConfig) -> list[tuple[str, str]]:
+    """A token's own n-grams as ``(kind, text)``: ``w1`` and its character n-grams.
 
-    Word n-grams run over the token sequence; character n-grams run inside
-    each token with boundary markers, so an edit to one word only touches
-    n-grams containing that word.  Mask tokens are ordinary tokens.
+    Character n-grams run inside the token with boundary markers, so an
+    edit to one word only touches n-grams containing that word.
+    """
+    grams = [("w1", token) for n in config.word_ngrams if n == 1]
+    marked = f"<{token}>"
+    for n in config.char_ngrams:
+        kind = f"c{n}"
+        grams += [(kind, marked[i : i + n]) for i in range(len(marked) - n + 1)]
+    return grams
+
+
+def _phrase_grams(tokens: list[str], config: EncoderConfig) -> list[tuple[str, str]]:
+    """Word n-grams of order >= 2 over the token sequence, as ``(kind, text)``."""
+    grams = []
+    for n in config.word_ngrams:
+        if n >= 2:
+            kind = f"w{n}"
+            spans = range(len(tokens) - n + 1)
+            grams += [(kind, " ".join(tokens[i : i + n])) for i in spans]
+    return grams
+
+
+def ngram_strings(text: str, config: EncoderConfig) -> list[str]:
+    """All word and character n-grams of the text, kind-tagged (``w2:a b``).
+
+    The list is the multiset that :func:`featurize` hashes; its order is not
+    meaningful.  Mask tokens are ordinary tokens.
     """
     tokens = tokenize(text)
-    grams: list[str] = []
-    for n in config.word_ngrams:
-        for i in range(len(tokens) - n + 1):
-            grams.append(f"w{n}:" + " ".join(tokens[i : i + n]))
-    for n in config.char_ngrams:
-        for token in tokens:
-            marked = f"<{token}>"
-            for i in range(len(marked) - n + 1):
-                grams.append(f"c{n}:" + marked[i : i + n])
-    return grams
+    grams = [g for token in tokens for g in _token_grams(token, config)]
+    return [f"{kind}:{body}" for kind, body in grams + _phrase_grams(tokens, config)]
+
+
+def _prefix_states(config: EncoderConfig) -> dict[str, int]:
+    """FNV-1a state after each kind prefix (``w1:``, ``c3:``, ...)."""
+    kinds = [f"w{n}" for n in config.word_ngrams]
+    kinds += [f"c{n}" for n in config.char_ngrams]
+    return {kind: _hash64(f"{kind}:".encode(), config.hash_seed) for kind in kinds}
+
+
+def _remember(memo: dict, key: str, grams, prefixes: dict[str, int], dim: int) -> bytes:
+    """Hash ``grams`` into packed int64 bucket ids and store them under ``key``."""
+    ids = np.array(
+        [_fnv1a(body.encode("utf-8"), prefixes[kind]) % dim for kind, body in grams],
+        dtype=np.int64,
+    ).tobytes()
+    if len(memo) >= _MEMO_CAPACITY:
+        memo.clear()
+    memo[key] = ids
+    return ids
+
+
+def _featurize(
+    text: str, config: EncoderConfig, prefixes: dict[str, int], memo: dict
+) -> FeatureVector:
+    """:func:`featurize` through ``memo``: token -> its grams' ids, phrase -> id.
+
+    Tokens never contain whitespace and phrases always do, so the two kinds
+    of key cannot collide.
+    """
+    tokens = tokenize(text)
+    dim = config.feature_dim
+    parts = []
+    for token in tokens:
+        ids = memo.get(token)
+        if ids is None:
+            ids = _remember(memo, token, _token_grams(token, config), prefixes, dim)
+        parts.append(ids)
+    for kind, phrase in _phrase_grams(tokens, config):
+        ids = memo.get(phrase)
+        if ids is None:
+            ids = _remember(memo, phrase, [(kind, phrase)], prefixes, dim)
+        parts.append(ids)
+    buckets = np.frombuffer(b"".join(parts), dtype=np.int64)
+    indices, counts = np.unique(buckets, return_counts=True)
+    values = counts.astype(np.float64)
+    values /= np.linalg.norm(values)
+    return FeatureVector(indices, values, dim)
 
 
 def featurize(text: str, config: EncoderConfig) -> FeatureVector:
     """Hash n-gram counts into ``feature_dim`` buckets and L2-normalize."""
-    counts: dict[int, float] = {}
-    for gram in ngram_strings(text, config):
-        bucket = _hash64(gram.encode("utf-8"), config.hash_seed) % config.feature_dim
-        counts[bucket] = counts.get(bucket, 0.0) + 1.0
-    if not counts:
-        return FeatureVector(
-            np.empty(0, dtype=np.int64), np.empty(0), config.feature_dim
-        )
-    indices = np.array(sorted(counts), dtype=np.int64)
-    values = np.array([counts[i] for i in indices])
-    values /= np.linalg.norm(values)
-    return FeatureVector(indices, values, config.feature_dim)
+    return _featurize(text, config, _prefix_states(config), {})
 
 
 def feature_matrix(features: list[FeatureVector], dim: int) -> sparse.csr_matrix:
@@ -125,6 +190,13 @@ class HashedNgramEncoder:
     :meth:`projection_gradient` on a batch feature matrix.  ``W_S`` is drawn
     from ``seed`` unless a stored matrix is given, as when loading a
     checkpoint.
+
+    :meth:`featurize` hashes through the encoder's own memo (see the module
+    docstring): at most ``_MEMO_CAPACITY`` entries, cleared when full, empty
+    on construction.  Every entry is a pure function of the config, so
+    concurrent readers under the GIL stay correct: a lost insert or an
+    extra clear only costs a recomputation, and the memo may briefly hold
+    one entry per racing thread beyond its capacity.
     """
 
     def __init__(
@@ -140,6 +212,8 @@ class HashedNgramEncoder:
         elif W_S.shape != shape:
             raise ValueError(f"W_S shape {W_S.shape} != {shape}")
         self.W_S = W_S
+        self._prefixes = _prefix_states(config)
+        self._memo: dict[str, bytes] = {}
 
     @property
     def hidden_dim(self) -> int:
@@ -150,7 +224,7 @@ class HashedNgramEncoder:
         return self.config.frozen
 
     def featurize(self, text: str) -> FeatureVector:
-        return featurize(text, self.config)
+        return _featurize(text, self.config, self._prefixes, self._memo)
 
     def encode_features(self, fv: FeatureVector) -> np.ndarray:
         if len(fv.indices) == 0:

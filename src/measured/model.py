@@ -38,7 +38,9 @@ the batched code on ``h[None]``.
 
 All losses and locations use base-10 logarithms throughout, so a loss of 1
 means "off by one decade".  Inference methods are pure given parameters and
-safe for concurrent readers; only the training loop mutates parameters.
+safe for concurrent readers; only the training loop mutates parameters.  The
+one state they write is the encoder's featurize memo, whose entries are pure
+functions of the encoder config, so a race there costs only a recomputation.
 """
 
 from __future__ import annotations

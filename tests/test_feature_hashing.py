@@ -1,16 +1,35 @@
-"""Golden bucket ids and values of the hashed n-gram featurizer.
+"""Bucket ids and values of the hashed n-gram featurizer, and its memo.
 
 Checkpoints index ``W_S`` rows by bucket id, so any change to how
 ``featurize`` enumerates or hashes n-grams would silently scramble every
-saved model.  These cases pin the exact output for fixed texts under two
-configs: each case maps bucket id -> n-gram count, and gives the float64
+saved model.  The golden cases pin the exact output for fixed texts under
+two configs: each case maps bucket id -> n-gram count, and gives the float64
 feature value of each count.  Values are compared with ``==``.
+
+The encoder's memo is checked against a direct count that hashes every
+n-gram string from scratch with ``_hash64``.
 """
+
+import sys
+import threading
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from measured.encoding import EncoderConfig, HashedNgramEncoder, featurize
+from measured import encoding
+from measured.data import ingest
+from measured.encoding import (
+    EncoderConfig,
+    HashedNgramEncoder,
+    _hash64,
+    featurize,
+    ngram_strings,
+)
+from measured.model import MeasurementModel, ModelSpec, load_model, save_model
+from measured.synth import SynthConfig, generate_records
+from measured.units import default_registry
 
 DEFAULT = EncoderConfig()
 CUSTOM = EncoderConfig(
@@ -213,3 +232,142 @@ def test_encoder_featurize_matches_golden(config, text, buckets, value_of_count)
         fv = encoder.featurize(text)
         assert fv.indices.tolist() == indices.tolist()
         assert fv.values.tolist() == values.tolist()
+
+
+# -- the memo against a direct count ---------------------------------------------
+
+SMALL = EncoderConfig(feature_dim=2**12, hidden_dim=4)
+
+
+def direct_featurize(text, config):
+    """The reference: hash every n-gram string from scratch and count."""
+    counts = Counter(
+        _hash64(gram.encode("utf-8"), config.hash_seed) % config.feature_dim
+        for gram in ngram_strings(text, config)
+    )
+    indices = np.array(sorted(counts), dtype=np.int64)
+    values = np.array([counts[i] for i in indices], dtype=np.float64)
+    if len(values):
+        values /= np.linalg.norm(values)
+    return indices, values
+
+
+def assert_direct(fv, text, config):
+    indices, values = direct_featurize(text, config)
+    assert fv.indices.dtype == np.int64 and fv.values.dtype == np.float64
+    assert fv.indices.tolist() == indices.tolist()
+    assert fv.values.tolist() == values.tolist()
+
+
+def synth_texts(n, seed):
+    registry = default_registry()
+    records = generate_records(SynthConfig(n_examples=n, seed=seed), registry)
+    return [r["text"] for r in records] + [
+        ex.masked_text for ex in ingest(records, registry).examples
+    ]
+
+
+def random_letter_texts(n, seed):
+    """Words of random letters, some non-ASCII, so few n-grams repeat."""
+    rng = np.random.default_rng(seed)
+    alphabet = list("abcdefghijklmnopqrstuvwxyzéµ°ß") + ["[#NUM]", "."]
+    return [
+        " ".join(
+            "".join(rng.choice(alphabet, size=rng.integers(1, 9)))
+            for _ in range(rng.integers(0, 16))
+        )
+        for _ in range(n)
+    ]
+
+
+def test_ngram_strings_counts_a_repeated_order_once_per_listing():
+    config = EncoderConfig(word_ngrams=(1, 2, 1), char_ngrams=(3, 3))
+    expected = ["w1:ab", "w1:cd"] * 2 + ["w2:ab cd"]
+    expected += ["c3:<ab", "c3:ab>", "c3:<cd", "c3:cd>"] * 2
+    assert Counter(ngram_strings("ab cd", config)) == Counter(expected)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [SMALL, replace(CUSTOM, hidden_dim=4), replace(SMALL, word_ngrams=(2, 1, 1))],
+    ids=["small", "custom", "repeated-orders"],
+)
+@pytest.mark.parametrize("make_texts", [synth_texts, random_letter_texts])
+def test_memoized_featurize_equals_direct_count(config, make_texts):
+    encoder = HashedNgramEncoder(config)
+    texts = make_texts(60, seed=3)
+    for _ in range(2):  # cold memo, then warm
+        for text in texts:
+            assert_direct(encoder.featurize(text), text, config)
+    for text in texts[:10]:
+        assert_direct(featurize(text, config), text, config)
+
+
+def test_memo_stays_within_capacity_and_clearing_keeps_features(monkeypatch):
+    monkeypatch.setattr(encoding, "_MEMO_CAPACITY", 16)
+    encoder = HashedNgramEncoder(SMALL)
+    sizes = []
+    for text in random_letter_texts(40, seed=5) * 2:
+        assert_direct(encoder.featurize(text), text, SMALL)
+        sizes.append(len(encoder._memo))
+    assert max(sizes) == 16
+    # the memo was cleared and refilled along the way
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+
+
+def test_encoders_with_different_hash_seeds_share_no_entries():
+    a = HashedNgramEncoder(SMALL)
+    b = HashedNgramEncoder(replace(SMALL, hash_seed=99))
+    text = "the beam is [#NUM] [#UNIT] long"
+    a.featurize(text)
+    assert a._memo and b._memo == {}
+    assert_direct(b.featurize(text), text, b.config)
+    assert a._memo is not b._memo
+    assert all(a._memo[key] != b._memo[key] for key in a._memo)
+
+
+def test_loaded_encoder_starts_with_an_empty_memo(tmp_path, toy_registry):
+    encoder = HashedNgramEncoder(SMALL)
+    model = MeasurementModel(ModelSpec("joint", 4), toy_registry, encoder, seed=0)
+    model.encode("a tower of [#NUM] [#UNIT]")
+    assert encoder._memo
+    save_model(model, tmp_path / "model.npz")
+    loaded = load_model(tmp_path / "model.npz", toy_registry)
+    assert loaded.encoder._memo == {}
+    assert HashedNgramEncoder(SMALL)._memo == {}
+
+
+def test_concurrent_readers_get_exact_features(monkeypatch):
+    """Threads share one encoder whose small memo is cleared again and again."""
+    capacity, n_threads = 32, 8
+    monkeypatch.setattr(encoding, "_MEMO_CAPACITY", capacity)
+    encoder = HashedNgramEncoder(SMALL)
+    texts = random_letter_texts(30, seed=9)
+    expected = [direct_featurize(t, SMALL) for t in texts]
+    wrong, sizes = [], []
+
+    def read(offset):
+        for k in range(3 * len(texts)):
+            i = (offset + k) % len(texts)
+            fv = encoder.featurize(texts[i])
+            if not (
+                np.array_equal(fv.indices, expected[i][0])
+                and np.array_equal(fv.values, expected[i][1])
+            ):
+                wrong.append(i)
+            sizes.append(len(encoder._memo))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(7 * i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(sizes) == n_threads * 3 * len(texts)
+    assert wrong == []
+    assert max(sizes) <= capacity + n_threads

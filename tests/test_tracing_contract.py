@@ -33,3 +33,23 @@ def test_the_traced_loss_is_the_one_training_runs():
     from measured import model, training
 
     assert training._forward_backward is model._forward_backward
+
+
+def test_feature_matrix_records_one_featurize_span_per_text():
+    """The traced text and gram counts rest on one outer span per text."""
+    from measured.encoding import EncoderConfig, HashedNgramEncoder, ngram_strings
+
+    tracing = load_tracing()
+    config = EncoderConfig(feature_dim=256, hidden_dim=2)
+    texts = ["a beam of [#NUM] [#UNIT]", "", "a beam of [#NUM] [#UNIT]", "µm naïve"]
+    encoder = HashedNgramEncoder(config)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        X = encoder.feature_matrix(texts)
+    finally:
+        tracer.uninstall()
+    assert X.shape == (len(texts), config.feature_dim)
+    m = tracing.summarize(tracer, 1.0, lambda t: ngram_strings(t, config))
+    assert m["encoding.featurize_texts"] == len(texts)
+    assert m["encoding.grams"] == sum(len(ngram_strings(t, config)) for t in texts)
