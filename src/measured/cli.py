@@ -7,8 +7,11 @@ its probes, ``predict`` on new sentences, run the ``fewshot`` grid, and
 
 Configuration precedence is flags > config file > defaults.  The config
 file is flat ``key=value`` text whose keys mirror the long flag names
-(without the leading dashes); unknown keys are rejected.  Every random
-choice derives from the single ``--seed``.
+(without the leading dashes); unknown keys are rejected.  ``train --resume``
+continues the checkpoint's model, so it rejects a model option (an encoder
+flag, ``--variant`` or ``--mixture-number``) that a flag or the config file
+sets to a value other than the checkpoint's.  Every random choice derives
+from the single ``--seed``.
 """
 
 from __future__ import annotations
@@ -91,7 +94,10 @@ class _Command:
             self.options[name] = (coerce, default)
 
     def resolve(self, args: argparse.Namespace) -> argparse.Namespace:
-        """Apply flags > config > defaults; reject unknown config keys."""
+        """Apply flags > config > defaults; reject unknown config keys.
+
+        ``args._explicit`` names the options a flag or the config file set.
+        """
         config: dict[str, str] = {}
         config_path = getattr(args, "config", None)
         if config_path:
@@ -101,15 +107,18 @@ class _Command:
                 raise ValueError(
                     f"unknown config keys: {', '.join(sorted(unknown))}"
                 )
+        explicit = set()
         for name, (coerce, default) in self.options.items():
             dest = name.replace("-", "_")
             value = getattr(args, dest, None)
+            if value is None and name in config:
+                value = coerce(config[name])
             if value is None:
-                if name in config:
-                    value = coerce(config[name])
-                else:
-                    value = default
+                value = default
+            else:
+                explicit.add(name)
             setattr(args, dest, value)
+        args._explicit = explicit
         return args
 
 
@@ -192,6 +201,35 @@ def _train_config(args) -> training.TrainConfig:
     )
 
 
+def _check_resume_options(args, model: MeasurementModel) -> None:
+    """Reject model options given for ``--resume`` that the checkpoint contradicts."""
+    config = model.encoder.config
+    stored = {
+        "variant": model.spec.variant,
+        "mixture-number": model.spec.mixture_number_prediction,
+        "feature-dim": config.feature_dim,
+        "hidden-dim": config.hidden_dim,
+        "word-ngrams": config.word_ngrams,
+        "char-ngrams": config.char_ngrams,
+        "hash-seed": config.hash_seed,
+        "frozen": config.frozen,
+    }
+
+    def shown(value):
+        return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+    conflicts = []
+    for name, value in stored.items():
+        given = getattr(args, name.replace("-", "_"))
+        if name in args._explicit and given != value:
+            conflicts.append(f"--{name} {shown(given)} (checkpoint: {shown(value)})")
+    if conflicts:
+        raise ValueError(
+            "--resume continues the checkpoint's model, which these options "
+            "contradict: " + "; ".join(conflicts)
+        )
+
+
 def _load_split(args, registry) -> data_mod.DatasetSplit:
     result = data_mod.load_examples(args.data, registry)
     if result.drops:
@@ -263,6 +301,7 @@ def cmd_train(args) -> int:
             if i > 0:
                 raise ValueError("--resume trains a single model; drop --seeds")
             model = load_model(args.resume, registry)
+            _check_resume_options(args, model)
         else:
             encoder = HashedNgramEncoder(_encoder_config(args), seed=seed)
             spec = ModelSpec(
@@ -430,7 +469,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
     cmd.add("variant", str, "joint", "model variant", choices=list(VARIANTS))
     cmd.add("history", str, None, "write per-epoch history JSONL here")
     cmd.add("seeds", int, 1, "train this many seeds and report mean/sd")
-    cmd.add("resume", str, None, "checkpoint to continue training from")
+    cmd.add(
+        "resume",
+        str,
+        None,
+        "checkpoint to continue training from (model options must match it)",
+    )
     cmd.add("mixture-number", bool, False, "predict numbers via the dimension mixture")
     _add_encoder_options(cmd)
     _add_train_options(cmd)

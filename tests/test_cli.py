@@ -205,6 +205,49 @@ class TestTrainEval:
         assert summary["variant"] == "dim"
         assert summary["selection_metric"] == "macro-f1"
 
+    def test_resume_rejects_options_that_contradict_the_checkpoint(
+        self, tmp_path, workdir, capsys
+    ):
+        data = ["--data", str(workdir / "corpus.jsonl"), "--epochs", "1"]
+        ckpt = tmp_path / "joint.npz"
+        code, _, _ = run(
+            ["train", *data, "--feature-dim", "256", "--hidden-dim", "8",
+             "--out", str(ckpt)],
+            capsys,
+        )
+        assert code == 0
+        resumed = tmp_path / "resumed.npz"
+        resume = ["train", *data, "--resume", str(ckpt), "--out", str(resumed)]
+        code, out, err = run(
+            [*resume, "--feature-dim", "1024", "--hidden-dim", "16",
+             "--hash-seed", "5", "--frozen", "--variant", "dim"],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        for conflict in (
+            "--feature-dim 1024 (checkpoint: 256)",
+            "--hidden-dim 16 (checkpoint: 8)",
+            "--hash-seed 5 (checkpoint: 0)",
+            "--frozen True (checkpoint: False)",
+            "--variant dim (checkpoint: joint)",
+        ):
+            assert conflict in err
+        assert not resumed.exists()
+
+        config = tmp_path / "resume.cfg"
+        config.write_text("word-ngrams=1,2,3\n")
+        code, _, err = run([*resume, "--config", str(config)], capsys)
+        assert code == 1
+        assert "--word-ngrams 1,2,3 (checkpoint: 1,2)" in err
+
+        # options that agree with the checkpoint are fine
+        code, out, err = run(
+            [*resume, "--feature-dim", "256", "--variant", "joint", "--no-frozen"],
+            capsys,
+        )
+        assert code == 0, err
+        assert json.loads(out)["variant"] == "joint"
+
     def test_eval_accepts_registry_with_added_comment(self, workdir, tmp_path, capsys):
         from importlib import resources
 
