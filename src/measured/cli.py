@@ -469,12 +469,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
     cmd.add("variant", str, "joint", "model variant", choices=list(VARIANTS))
     cmd.add("history", str, None, "write per-epoch history JSONL here")
     cmd.add("seeds", int, 1, "train this many seeds and report mean/sd")
-    cmd.add(
-        "resume",
-        str,
-        None,
-        "checkpoint to continue training from (model options must match it)",
-    )
+    cmd.add("resume", str, None, "checkpoint to continue; model options must match it")
     cmd.add("mixture-number", bool, False, "predict numbers via the dimension mixture")
     _add_encoder_options(cmd)
     _add_train_options(cmd)
