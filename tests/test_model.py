@@ -549,6 +549,32 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="v1 fingerprinted the registry file's text"):
             load_model(path, toy_registry)
 
+    def test_meta_is_pinned(self, toy_registry, tmp_path):
+        """The checkpoint's JSON header, key order included, stays as written."""
+        enc = HashedNgramEncoder(
+            EncoderConfig(feature_dim=128, hidden_dim=M, char_ngrams=(2, 5), frozen=True),
+            seed=71,
+        )
+        spec = ModelSpec("dim-number", M, mixture_number_prediction=True)
+        model = MeasurementModel(spec, toy_registry, enc, seed=73)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        with np.load(path) as z:
+            meta = str(z["__meta__"][()])
+        assert meta == (
+            '{"format": "measured-checkpoint-v2", "variant": "dim-number", '
+            '"hidden_dim": 6, "mixture_number_prediction": true, "head_seed": 73, '
+            '"encoder": {"feature_dim": 128, "hidden_dim": 6, "word_ngrams": [1, 2], '
+            '"char_ngrams": [2, 5], "hash_seed": 0, "frozen": true, "seed": 71}, '
+            '"registry_fingerprint": '
+            '"7625e891b1e397f9b0b853e59505bbed8184832377f7f74cf553564d174bcb6b", '
+            '"heads": ["W_D", "W_Y", "b_D", "b_Y"]}'
+        )
+        again = load_model(path, toy_registry)
+        assert again.spec == spec
+        assert again.encoder.config == enc.config
+        assert again.encoder.seed == 71 and again.head_seed == 73
+
     def test_frozen_flag_survives(self, toy_registry, tmp_path):
         enc = HashedNgramEncoder(
             EncoderConfig(feature_dim=128, hidden_dim=M, frozen=True), seed=2

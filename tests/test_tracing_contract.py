@@ -53,3 +53,42 @@ def test_feature_matrix_records_one_featurize_span_per_text():
     m = tracing.summarize(tracer, 1.0, lambda t: ngram_strings(t, config))
     assert m["encoding.featurize_texts"] == len(texts)
     assert m["encoding.grams"] == sum(len(ngram_strings(t, config)) for t in texts)
+
+
+def test_each_training_step_records_one_head_backward_and_projection_span(registry):
+    """The traced per-step layers fire once per step of ``train()``."""
+    from measured.data import DatasetSplit, ingest
+    from measured.encoding import EncoderConfig, HashedNgramEncoder
+    from measured.model import MeasurementModel, ModelSpec
+    from measured.synth import SynthConfig, generate_records
+    from measured.training import TrainConfig, train
+
+    records = generate_records(SynthConfig(n_examples=60, seed=3), registry)
+    examples = ingest(records, registry).examples
+    data = DatasetSplit(examples[:40], examples[40:], [], 0)
+    encoder = HashedNgramEncoder(EncoderConfig(feature_dim=256, hidden_dim=4), seed=0)
+    model = MeasurementModel(ModelSpec("joint", 4), registry, encoder, seed=0)
+    config = TrainConfig(batch_size=16, max_epochs=2, patience=2, learning_rate=1e-3)
+    steps = 2 * 3  # two epochs of batches 16 + 16 + 8
+
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        result = train(model, data, config)
+    finally:
+        tracer.uninstall()
+    assert len(result.history) == 2
+
+    def outside_validation(span):
+        parent = span[3]
+        while parent is not None:
+            if tracer.spans[parent][0] == "training.validation":
+                return False
+            parent = tracer.spans[parent][3]
+        return True
+
+    names = [s[0] for s in tracer.spans if outside_validation(s)]
+    assert names.count("training.head_backward") == steps
+    assert names.count("encoding.projection_gradient") == steps
+    assert names.count("training.adamw_step") == steps

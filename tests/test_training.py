@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -365,6 +366,28 @@ class TestTrainLoop:
         assert np.array_equal(model.encoder.W_S[untouched], before[untouched])
         moved = (model.encoder.W_S[touched] != before[touched]).any(axis=1)
         assert moved.all()
+
+    def test_one_projection_gradient_alive_at_a_time(
+        self, registry, corpus, monkeypatch
+    ):
+        """A full-shape W_S gradient is freed before the next one is made.
+
+        At the default size each one is 512 MB, so keeping the previous
+        step's gradient alive while the next is computed raises peak memory.
+        """
+        refs = []
+        original = HashedNgramEncoder.projection_gradient
+
+        def tracked(self, X, dH):
+            assert all(ref() is None for ref in refs), "an earlier gradient is alive"
+            G = original(self, X, dH)
+            refs.append(weakref.ref(G))
+            return G
+
+        monkeypatch.setattr(HashedNgramEncoder, "projection_gradient", tracked)
+        model = small_model(registry, "joint", seed=17)
+        train(model, corpus, self.config(max_epochs=2))
+        assert len(refs) > 2
 
     def test_nan_head_weight_stops_training(self, registry, corpus):
         model = small_model(registry, "joint", seed=14)
