@@ -20,7 +20,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,19 +60,24 @@ def _csv_strs(text: str) -> tuple[str, ...]:
 
 
 class _Command:
-    """One subcommand: its parser plus the coercion/default table."""
+    """One subcommand: its parser, handler, and coercion/default table."""
 
-    def __init__(self, subparsers, name: str, help_: str):
+    def __init__(self, subparsers, name: str, help_: str, handler):
         self.parser = subparsers.add_parser(name, help=help_, description=help_)
         self.parser.set_defaults(_command=name)
+        self.name = name
+        self.handler = handler
         self.options: dict[str, tuple] = {}
+        self.required: list[str] = []
         # shared flags
         self.add("registry", str, None, "registry file (default: built-in registry)")
         self.add("seed", int, 0, "master seed for all random choices")
         self.add("out", str, None, "output path (default varies by command)")
         self.add("config", str, None, "flat key=value config file")
 
-    def add(self, name: str, coerce, default, help_: str, choices=None):
+    def add(self, name: str, coerce, default, help_: str, choices=None, required=False):
+        if required:
+            self.required.append(name)
         dest = name.replace("-", "_")
         kwargs = {"default": None, "help": help_, "dest": dest}
         if coerce is bool:
@@ -93,10 +98,11 @@ class _Command:
             self.parser.add_argument(f"--{name}", type=coerce, **kwargs)
             self.options[name] = (coerce, default)
 
-    def resolve(self, args: argparse.Namespace) -> argparse.Namespace:
-        """Apply flags > config > defaults; reject unknown config keys.
+    def run(self, args: argparse.Namespace) -> int:
+        """Apply flags > config > defaults, check required options, run the handler.
 
-        ``args._explicit`` names the options a flag or the config file set.
+        Unknown config keys are rejected.  ``args._explicit`` names the
+        options a flag or the config file set.
         """
         config: dict[str, str] = {}
         config_path = getattr(args, "config", None)
@@ -119,7 +125,10 @@ class _Command:
                 explicit.add(name)
             setattr(args, dest, value)
         args._explicit = explicit
-        return args
+        for name in self.required:
+            if getattr(args, name.replace("-", "_")) is None:
+                raise ValueError(f"--{name} is required for '{self.name}'")
+        return self.handler(args)
 
 
 def _read_config(path) -> dict[str, str]:
@@ -141,6 +150,15 @@ def _load_registry(args) -> UnitRegistry:
 
 def _open_out(path):
     return open(path, "w", encoding="utf-8") if path else sys.stdout
+
+
+def _write_json(doc, path) -> None:
+    """Indented JSON to ``path``, or to stdout when it is None."""
+    f = _open_out(path)
+    json.dump(doc, f, indent=2, ensure_ascii=False)
+    f.write("\n")
+    if f is not sys.stdout:
+        f.close()
 
 
 def _add_encoder_options(cmd: _Command) -> None:
@@ -177,14 +195,9 @@ def _add_train_options(cmd: _Command) -> None:
 
 
 def _encoder_config(args, frozen: bool | None = None) -> EncoderConfig:
-    return EncoderConfig(
-        feature_dim=args.feature_dim,
-        hidden_dim=args.hidden_dim,
-        word_ngrams=tuple(args.word_ngrams),
-        char_ngrams=tuple(args.char_ngrams),
-        hash_seed=args.hash_seed,
-        frozen=args.frozen if frozen is None else frozen,
-    )
+    names = [f.name for f in fields(EncoderConfig)]
+    config = EncoderConfig(**{name: getattr(args, name) for name in names})
+    return config if frozen is None else replace(config, frozen=frozen)
 
 
 def _train_config(args) -> training.TrainConfig:
@@ -203,16 +216,10 @@ def _train_config(args) -> training.TrainConfig:
 
 def _check_resume_options(args, model: MeasurementModel) -> None:
     """Reject model options given for ``--resume`` that the checkpoint contradicts."""
-    config = model.encoder.config
     stored = {
         "variant": model.spec.variant,
         "mixture-number": model.spec.mixture_number_prediction,
-        "feature-dim": config.feature_dim,
-        "hidden-dim": config.hidden_dim,
-        "word-ngrams": config.word_ngrams,
-        "char-ngrams": config.char_ngrams,
-        "hash-seed": config.hash_seed,
-        "frozen": config.frozen,
+        **{k.replace("_", "-"): v for k, v in asdict(model.encoder.config).items()},
     }
 
     def shown(value):
@@ -279,16 +286,15 @@ def cmd_stats(args) -> int:
     result = data_mod.load_examples(args.data, registry)
     if result.drops:
         print(f"ingest drops: {dict(result.drops)}", file=sys.stderr)
-    report = data_mod.stats(result.examples).to_json_dict()
-    f = _open_out(args.out)
-    json.dump(report, f, indent=2, ensure_ascii=False)
-    f.write("\n")
-    if f is not sys.stdout:
-        f.close()
+    _write_json(data_mod.stats(result.examples).to_json_dict(), args.out)
     return 0
 
 
 def cmd_train(args) -> int:
+    if args.seeds < 1:
+        raise ValueError("--seeds must be >= 1")
+    if args.resume and args.seeds > 1:
+        raise ValueError("--resume trains a single model; drop --seeds")
     registry = _load_registry(args)
     split = _load_split(args, registry)
     train_config = _train_config(args)
@@ -298,8 +304,6 @@ def cmd_train(args) -> int:
     for i in range(args.seeds):
         seed = args.seed + i
         if args.resume:
-            if i > 0:
-                raise ValueError("--resume trains a single model; drop --seeds")
             model = load_model(args.resume, registry)
             _check_resume_options(args, model)
         else:
@@ -341,13 +345,8 @@ def cmd_eval(args) -> int:
     model = load_model(args.checkpoint, registry)
     split = _load_split(args, registry)
     probes = None if args.probes == "auto" else _csv_strs(args.probes)
-    report = evaluation.evaluate(model, split, probes)
-    doc = report.to_json_dict()
-    f = _open_out(args.out)
-    json.dump(doc, f, indent=2, ensure_ascii=False)
-    f.write("\n")
-    if f is not sys.stdout:
-        f.close()
+    doc = evaluation.evaluate(model, split, probes).to_json_dict()
+    _write_json(doc, args.out)
     if args.csv_dir:
         _write_csv_tables(doc, Path(args.csv_dir))
     return 0
@@ -356,19 +355,19 @@ def cmd_eval(args) -> int:
 def _write_csv_tables(doc: dict, directory: Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
 
-    def write_confusion(name: str, section: dict) -> None:
+    def write(name: str, header: list, rows) -> None:
         with open(directory / f"{name}.csv", "w", newline="") as f:
             writer = csv.writer(f)
-            writer.writerow(["gold\\pred", *section["labels"]])
-            for label, row in zip(section["labels"], section["matrix"]):
-                writer.writerow([label, *row])
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    def write_confusion(name: str, section: dict) -> None:
+        labels = section["labels"]
+        rows = ([label, *row] for label, row in zip(labels, section["matrix"]))
+        write(name, ["gold\\pred", *labels], rows)
 
     def write_pairs(name: str, pairs: dict) -> None:
-        with open(directory / f"{name}.csv", "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["key", "value"])
-            for key, value in pairs.items():
-                writer.writerow([key, value])
+        write(name, ["key", "value"], pairs.items())
 
     for probe, section in doc.get("probes", {}).items():
         if "confusion" in section:
@@ -411,6 +410,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_fewshot(args) -> int:
+    if args.seeds < 1:
+        raise ValueError("--seeds must be >= 1")
     registry = _load_registry(args)
     split = _load_split(args, registry)
     report = experiments.fewshot_grid(
@@ -421,19 +422,17 @@ def cmd_fewshot(args) -> int:
         ks=tuple(args.k),
         seeds=tuple(range(args.seed, args.seed + args.seeds)),
     )
-    f = _open_out(args.out)
-    json.dump(report, f, indent=2, ensure_ascii=False)
-    f.write("\n")
-    if f is not sys.stdout:
-        f.close()
+    _write_json(report, args.out)
     return 0
 
 
 def cmd_export(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ValueError("--limit must be >= 0")
     registry = _load_registry(args)
     model = load_model(args.checkpoint, registry)
     result = data_mod.load_examples(args.data, registry)
-    examples = result.examples[: args.limit] if args.limit else result.examples
+    examples = result.examples if args.limit is None else result.examples[: args.limit]
     out = args.out or "embeddings.tsv"
     n = export_embeddings(model.encoder, examples, out)
     print(f"export: wrote {n} rows to {out}", file=sys.stderr)
@@ -450,22 +449,23 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
     subparsers = parser.add_subparsers(dest="_command", required=True)
     commands: dict[str, _Command] = {}
 
-    cmd = _Command(subparsers, "ingest", "canonicalize raw JSONL records")
-    cmd.add("data", str, None, "raw JSONL input path")
-    commands["ingest"] = cmd
+    def command(name: str, help_: str, handler) -> _Command:
+        commands[name] = _Command(subparsers, name, help_, handler)
+        return commands[name]
 
-    cmd = _Command(subparsers, "synth", "generate a synthetic corpus")
+    cmd = command("ingest", "canonicalize raw JSONL records", cmd_ingest)
+    cmd.add("data", str, None, "raw JSONL input path", required=True)
+
+    cmd = command("synth", "generate a synthetic corpus", cmd_synth)
     cmd.add("n", int, 7000, "number of records")
     cmd.add("ambiguity", float, 0.0, "fraction of dimension-neutral sentences")
     cmd.add("balanced", bool, True, "equal examples per dimension")
-    commands["synth"] = cmd
 
-    cmd = _Command(subparsers, "stats", "corpus statistics as JSON")
-    cmd.add("data", str, None, "JSONL input path")
-    commands["stats"] = cmd
+    cmd = command("stats", "corpus statistics as JSON", cmd_stats)
+    cmd.add("data", str, None, "JSONL input path", required=True)
 
-    cmd = _Command(subparsers, "train", "train a model variant")
-    cmd.add("data", str, None, "JSONL corpus path")
+    cmd = command("train", "train a model variant", cmd_train)
+    cmd.add("data", str, None, "JSONL corpus path", required=True)
     cmd.add("variant", str, "joint", "model variant", choices=list(VARIANTS))
     cmd.add("history", str, None, "write per-epoch history JSONL here")
     cmd.add("seeds", int, 1, "train this many seeds and report mean/sd")
@@ -473,70 +473,44 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
     cmd.add("mixture-number", bool, False, "predict numbers via the dimension mixture")
     _add_encoder_options(cmd)
     _add_train_options(cmd)
-    commands["train"] = cmd
 
-    cmd = _Command(subparsers, "eval", "evaluate a checkpoint's probes")
-    cmd.add("checkpoint", str, None, "model checkpoint path")
-    cmd.add("data", str, None, "JSONL corpus path")
+    cmd = command("eval", "evaluate a checkpoint's probes", cmd_eval)
+    cmd.add("checkpoint", str, None, "model checkpoint path", required=True)
+    cmd.add("data", str, None, "JSONL corpus path", required=True)
     cmd.add("probes", str, "auto", "comma list: dim,dim-given-y,unit,num (or auto)")
     cmd.add("csv-dir", str, None, "also write per-table CSV files here")
     cmd.add("ratios", _csv_floats, (0.8, 0.1, 0.1), "train,val,test split ratios")
-    commands["eval"] = cmd
 
-    cmd = _Command(subparsers, "predict", "predict measurements for masked sentences")
-    cmd.add("checkpoint", str, None, "model checkpoint path")
-    cmd.add("input", str, None, "sentences: JSONL with a 'text' field, or raw lines")
-    commands["predict"] = cmd
+    cmd = command("predict", "predict measurements for masked sentences", cmd_predict)
+    cmd.add("checkpoint", str, None, "model checkpoint path", required=True)
+    cmd.add(
+        "input",
+        str,
+        None,
+        "sentences: JSONL with a 'text' field, or raw lines",
+        required=True,
+    )
 
-    cmd = _Command(subparsers, "fewshot", "frozen-vs-finetuned few-shot grid")
-    cmd.add("data", str, None, "JSONL corpus path")
+    cmd = command("fewshot", "frozen-vs-finetuned few-shot grid", cmd_fewshot)
+    cmd.add("data", str, None, "JSONL corpus path", required=True)
     cmd.add("k", _csv_ints, (10, 40, 70, 100), "examples per class, comma list")
     cmd.add("seeds", int, 3, "number of seeds to average")
     _add_encoder_options(cmd)
     _add_train_options(cmd)
-    commands["fewshot"] = cmd
 
-    cmd = _Command(subparsers, "export", "export hidden vectors with labels (TSV)")
-    cmd.add("checkpoint", str, None, "model checkpoint path")
-    cmd.add("data", str, None, "JSONL corpus path")
+    cmd = command("export", "export hidden vectors with labels (TSV)", cmd_export)
+    cmd.add("checkpoint", str, None, "model checkpoint path", required=True)
+    cmd.add("data", str, None, "JSONL corpus path", required=True)
     cmd.add("limit", int, None, "export at most this many rows")
-    commands["export"] = cmd
 
     return parser, commands
-
-
-_HANDLERS = {
-    "ingest": cmd_ingest,
-    "synth": cmd_synth,
-    "stats": cmd_stats,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "predict": cmd_predict,
-    "fewshot": cmd_fewshot,
-    "export": cmd_export,
-}
-
-_REQUIRED = {
-    "ingest": ("data",),
-    "stats": ("data",),
-    "train": ("data",),
-    "eval": ("checkpoint", "data"),
-    "predict": ("checkpoint", "input"),
-    "fewshot": ("data",),
-    "export": ("checkpoint", "data"),
-}
 
 
 def main(argv=None) -> int:
     parser, commands = build_parser()
     args = parser.parse_args(argv)
-    command = args._command
     try:
-        commands[command].resolve(args)
-        for name in _REQUIRED.get(command, ()):
-            if getattr(args, name) is None:
-                raise ValueError(f"--{name} is required for '{command}'")
-        return _HANDLERS[command](args)
+        return commands[args._command].run(args)
     except (ValueError, KeyError, OSError, RuntimeError) as err:
         print(f"measured: error: {err}", file=sys.stderr)
         return 1

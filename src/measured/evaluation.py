@@ -18,6 +18,7 @@ record.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from measured.data import (
     lower_median,
 )
 from measured.model import VARIANT_RECORDS, MeasurementModel, MissingHead
-from measured.units import Dimension, manhattan_distance
+from measured.units import Dimension, UnitRegistry, manhattan_distance
 
 
 class LengthMismatch(ValueError):
@@ -231,6 +232,30 @@ def _classification_section(gold_names, pred_names, ordered_classes) -> dict:
     }
 
 
+def baselines(split: DatasetSplit, registry: UnitRegistry) -> dict:
+    """The constant predictors fit on the train split, scored on the test split.
+
+    Majority class for dimension and unit, training median for the number.
+    """
+    report = {}
+    for key, classes, label in (
+        ("majority_dimension", registry.dimensions, attrgetter("dimension.name")),
+        ("majority_unit", registry.units, attrgetter("unit.name")),
+    ):
+        order = [c.name for c in classes]
+        majority = majority_baseline([label(ex) for ex in split.train], order)
+        gold = [label(ex) for ex in split.test]
+        section = _classification_section(gold, [majority] * len(gold), order)
+        report[key] = {"label": majority, **section}
+    median = median_baseline([ex.canonical_number for ex in split.train])
+    gold = [ex.canonical_number for ex in split.test]
+    report["median_number"] = {
+        "value": median,
+        "log_mae": log_mae(gold, np.full(len(gold), median)),
+    }
+    return report
+
+
 def evaluate(
     model: MeasurementModel,
     split: DatasetSplit,
@@ -238,9 +263,8 @@ def evaluate(
 ) -> EvalReport:
     """Run the requested probes on the test split.
 
-    Baselines (majority class for dimension and unit, training median for
-    the number) are fit on the train split and always reported.  Asking
-    for a probe the variant cannot answer raises :class:`MissingHead`.
+    The :func:`baselines` are always reported.  Asking for a probe the
+    variant cannot answer raises :class:`MissingHead`.
     """
     variant = model.spec.variant
     record = model.spec.record
@@ -254,39 +278,16 @@ def evaluate(
 
     reg = model.registry
     test = list(split.test)
-    train = list(split.train)
     if not test:
         raise ValueError("test split is empty")
-    report = EvalReport(variant, len(train), len(test))
+    report = EvalReport(variant, len(split.train), len(test))
+    report.baselines = baselines(split, reg)
 
     dim_order = [d.name for d in reg.dimensions]
     unit_order = [u.name for u in reg.units]
     gold_dim_names = [ex.dimension.name for ex in test]
     gold_unit_names = [ex.unit.name for ex in test]
     gold_numbers = np.array([ex.canonical_number for ex in test])
-
-    # baselines are part of every report
-    maj_dim = majority_baseline([ex.dimension.name for ex in train], dim_order)
-    maj_unit = majority_baseline([ex.unit.name for ex in train], unit_order)
-    med = median_baseline([ex.canonical_number for ex in train])
-    report.baselines = {
-        "majority_dimension": {
-            "label": maj_dim,
-            **_classification_section(
-                gold_dim_names, [maj_dim] * len(test), dim_order
-            ),
-        },
-        "majority_unit": {
-            "label": maj_unit,
-            **_classification_section(
-                gold_unit_names, [maj_unit] * len(test), unit_order
-            ),
-        },
-        "median_number": {
-            "value": med,
-            "log_mae": log_mae(gold_numbers, np.full(len(test), med)),
-        },
-    }
 
     X = model.encoder.feature_matrix([ex.masked_text for ex in test])
     H = model.encoder.encode_matrix(X)

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import replace
 from statistics import mean, stdev
 
-import numpy as np
-
 from measured import evaluation
 from measured.data import DatasetSplit, fewshot_sample
 from measured.encoding import EncoderConfig, HashedNgramEncoder
@@ -62,78 +60,45 @@ def fewshot_grid(
     """Frozen-vs-finetuned few-shot comparison over k examples per class.
 
     For each k and seed, a balanced sample of the train split feeds two
-    regimes of the dimension classifier (scored by test macro-F1) and of
-    the number model (scored by test log-mae).  Returns a report keyed by
-    regime and k with per-seed values and mean/sd.
+    regimes of the dimension classifier (scored by the test ``dim`` probe's
+    macro-F1) and of the number model (scored by the ``num`` probe's
+    log-mae), next to the :func:`~measured.evaluation.baselines` of the
+    whole split.  Returns a report keyed by regime and k with per-seed
+    values and mean/sd.
     """
-    test = list(split.test)
-    gold_dims = [ex.dimension.name for ex in test]
-    gold_numbers = np.array([ex.canonical_number for ex in test])
-    dim_order = [d.name for d in registry.dimensions]
-
+    base = evaluation.baselines(split, registry)
+    majority = base["majority_dimension"]
     report: dict = {
         "ks": list(ks),
         "seeds": list(seeds),
-        "dimension_macro_f1": {"finetuned": {}, "frozen": {}},
-        "number_log_mae": {"finetuned": {}, "frozen": {}},
+        "dimension_macro_f1": {
+            "finetuned": {},
+            "frozen": {},
+            "majority": {key: majority[key] for key in ("macro_f1", "accuracy")},
+        },
+        "number_log_mae": {
+            "finetuned": {},
+            "frozen": {},
+            "median": base["median_number"]["log_mae"],
+        },
     }
-
-    maj = evaluation.majority_baseline(
-        [ex.dimension.name for ex in split.train], dim_order
+    # (report table, variant trained, probe scored, probe metric)
+    tasks = (
+        ("dimension_macro_f1", "dim", "dim", "macro_f1"),
+        ("number_log_mae", "number", "num", "log_mae"),
     )
-    med = evaluation.median_baseline(
-        [ex.canonical_number for ex in split.train]
-    )
-    observed = [c for c in dim_order if c in set(gold_dims) | {maj}]
-    report["dimension_macro_f1"]["majority"] = {
-        "macro_f1": evaluation.macro_f1(gold_dims, [maj] * len(test), observed),
-        "accuracy": evaluation.accuracy(gold_dims, [maj] * len(test)),
-    }
-    report["number_log_mae"]["median"] = evaluation.log_mae(
-        gold_numbers, np.full(len(test), med)
-    )
-
-    for k in ks:
-        scores: dict[str, dict[str, list[float]]] = {
-            "dim": {"finetuned": [], "frozen": []},
-            "number": {"finetuned": [], "frozen": []},
-        }
-        for seed in seeds:
-            shot = fewshot_sample(split, k, seed=seed)
-            shot_split = DatasetSplit(shot, split.val, test, split.seed)
-            for frozen in (False, True):
-                config = replace(encoder_config, frozen=frozen)
-                regime = "frozen" if frozen else "finetuned"
-
-                model = train_variant(
-                    "dim", shot_split, registry, config, train_config, seed
-                )
-                H = model.encoder.encode_matrix(
-                    model.encoder.feature_matrix([ex.masked_text for ex in test])
-                )
-                pred = [
-                    registry.dimensions[int(i)].name
-                    for i in model.argmax_dimension_indices(H)
-                ]
-                classes = [c for c in dim_order if c in set(gold_dims) | set(pred)]
-                scores["dim"][regime].append(
-                    evaluation.macro_f1(gold_dims, pred, classes)
-                )
-
-                model = train_variant(
-                    "number", shot_split, registry, config, train_config, seed
-                )
-                H = model.encoder.encode_matrix(
-                    model.encoder.feature_matrix([ex.masked_text for ex in test])
-                )
-                scores["number"][regime].append(
-                    evaluation.log_mae(gold_numbers, model.predict_number_batch(H))
-                )
-        for regime in ("finetuned", "frozen"):
-            report["dimension_macro_f1"][regime][str(k)] = _summary(
-                scores["dim"][regime]
-            )
-            report["number_log_mae"][regime][str(k)] = _summary(
-                scores["number"][regime]
-            )
+    for table, variant, probe, key in tasks:
+        for regime, frozen in (("finetuned", False), ("frozen", True)):
+            config = replace(encoder_config, frozen=frozen)
+            for k in ks:
+                values = []
+                for seed in seeds:
+                    shot = fewshot_sample(split, k, seed=seed)
+                    shot_split = DatasetSplit(shot, split.val, split.test, split.seed)
+                    model = train_variant(
+                        variant, shot_split, registry, config, train_config, seed
+                    )
+                    probes = evaluation.evaluate(model, split, (probe,)).probes
+                    values.append(probes[probe][key])
+                report[table][regime][str(k)] = _summary(values)
     return report

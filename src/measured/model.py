@@ -47,7 +47,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -677,32 +678,37 @@ def _forward_backward(
 def save_model(model: MeasurementModel, path) -> None:
     """Write a single self-describing checkpoint file (npz) at exactly ``path``.
 
-    ``np.savez`` appends ``.npz`` to a path without it, so it is handed an
-    open file instead.
+    The file is written under a temporary name in the same directory and
+    then renamed over ``path``, so a failed write leaves the previous file
+    there intact.  ``np.savez`` appends ``.npz`` to a path without it, so it
+    is handed an open file instead.
     """
     enc = model.encoder
     meta = {
         "format": CHECKPOINT_FORMAT,
-        "variant": model.spec.variant,
-        "hidden_dim": model.spec.hidden_dim,
-        "mixture_number_prediction": model.spec.mixture_number_prediction,
+        **asdict(model.spec),
         "head_seed": model.head_seed,
-        "encoder": {
-            "feature_dim": enc.config.feature_dim,
-            "hidden_dim": enc.config.hidden_dim,
-            "word_ngrams": list(enc.config.word_ngrams),
-            "char_ngrams": list(enc.config.char_ngrams),
-            "hash_seed": enc.config.hash_seed,
-            "frozen": enc.config.frozen,
-            "seed": enc.seed,
-        },
+        "encoder": {**asdict(enc.config), "seed": enc.seed},
         "registry_fingerprint": model.registry.fingerprint,
         "heads": sorted(model.params),
     }
     arrays = {f"head.{k}": v for k, v in model.params.items()}
     arrays["encoder.W_S"] = enc.W_S
-    with open(path, "wb") as f:
-        np.savez(f, __meta__=np.array(json.dumps(meta)), **arrays)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            np.savez(f, __meta__=np.array(json.dumps(meta)), **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _from_meta(cls, meta: dict):
+    """A config dataclass from its checkpoint JSON, lists back to tuples."""
+    values = {f.name: meta[f.name] for f in fields(cls)}
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
 
 def load_model(path, registry: UnitRegistry) -> MeasurementModel:
@@ -723,26 +729,13 @@ def load_model(path, registry: UnitRegistry) -> MeasurementModel:
                 f"{meta['registry_fingerprint'][:12]}..., got "
                 f"{registry.fingerprint[:12]}..."
             )
-        enc_meta = meta["encoder"]
-        config = EncoderConfig(
-            feature_dim=int(enc_meta["feature_dim"]),
-            hidden_dim=int(enc_meta["hidden_dim"]),
-            word_ngrams=tuple(enc_meta["word_ngrams"]),
-            char_ngrams=tuple(enc_meta["char_ngrams"]),
-            hash_seed=int(enc_meta["hash_seed"]),
-            frozen=bool(enc_meta["frozen"]),
-        )
         encoder = HashedNgramEncoder(
-            config, seed=int(enc_meta["seed"]), W_S=z["encoder.W_S"]
+            _from_meta(EncoderConfig, meta["encoder"]),
+            seed=meta["encoder"]["seed"],
+            W_S=z["encoder.W_S"],
         )
-        spec = ModelSpec(
-            variant=meta["variant"],
-            hidden_dim=int(meta["hidden_dim"]),
-            mixture_number_prediction=bool(meta["mixture_number_prediction"]),
-        )
-        model = MeasurementModel(
-            spec, registry, encoder, seed=int(meta["head_seed"])
-        )
+        spec = _from_meta(ModelSpec, meta)
+        model = MeasurementModel(spec, registry, encoder, seed=meta["head_seed"])
         for name in meta["heads"]:
             stored = z[f"head.{name}"]
             if stored.shape != model.params[name].shape:

@@ -1,7 +1,9 @@
 """Mini-batch gradient training for every model variant.
 
-The loss and its head gradients come from the model's one batched loss,
-``measured.model._forward_backward``; backpropagation through the linear
+Each training step is one call of :func:`gradients`: the loss and its head
+gradients come from the model's one batched loss,
+``measured.model._forward_backward``, plus the encoder projection's
+gradient when the encoder trains.  Backpropagation through the linear
 heads and the encoder projection is analytic: softmax cross-entropy, the
 masked unit softmax, the L1 number loss (subgradient 0 at the kink), and
 the latent-dimension log-sum-exp mixture all have closed-form gradients,
@@ -32,7 +34,6 @@ import numpy as np
 from measured.data import DatasetSplit
 from measured.model import (
     VARIANT_RECORDS,
-    BatchArrays,
     MeasurementModel,
     _forward_backward,
     batch_arrays,
@@ -325,7 +326,6 @@ def train(
     X_val = model.encoder.feature_matrix([ex.masked_text for ex in val_ex])
     arrays_train = batch_arrays(model, train_ex)
     arrays_val = batch_arrays(model, val_ex)
-    H_val = None  # recomputed when the encoder trains
 
     dim_weights = unit_weights = None
     if config.weighting == "log-frequency":
@@ -364,25 +364,19 @@ def train(
         for start in range(0, n, config.batch_size):
             step += 1
             idx = order[start : start + config.batch_size]
-            batch = [train_ex[i] for i in idx]
-            Xb = X_train[idx]
-            sub = BatchArrays(
-                arrays_train.dim_index[idx],
-                arrays_train.unit_index[idx],
-                arrays_train.log10_target[idx],
-            )
-            H = model.encoder.encode_matrix(Xb)
-            loss, head_grads, dH = _forward_backward(
-                model, H, sub, dim_weights, unit_weights, want_grads=True
+            loss, grads = gradients(
+                model,
+                [train_ex[i] for i in idx],
+                X_train[idx],
+                dim_weights=dim_weights,
+                unit_weights=unit_weights,
             )
             if not math.isfinite(loss):
                 raise NonFiniteLoss(f"epoch {epoch}, step {step}: batch loss is {loss}")
-            grads = dict(head_grads)
-            if "encoder.W_S" in params:
-                grads["encoder.W_S"] = model.encoder.projection_gradient(Xb, dH)
-            grads = {k: grads[k] for k in params}
             lr = lr_at(step, config)
             adamw_step(params, grads, opt, lr)
+            # free this step's W_S gradient (512 MB by default) before the next one
+            del grads
             epoch_loss += loss
             n_batches += 1
 

@@ -248,6 +248,47 @@ class TestTrainEval:
         assert code == 0, err
         assert json.loads(out)["variant"] == "joint"
 
+    def test_resume_with_several_seeds_fails_before_any_work(
+        self, tmp_path, workdir, capsys, monkeypatch
+    ):
+        from measured import cli, training
+
+        def never(*args, **kwargs):
+            raise AssertionError("nothing may be loaded or trained")
+
+        monkeypatch.setattr(training, "train", never)
+        monkeypatch.setattr(cli, "load_model", never)
+        out = tmp_path / "r.npz"
+        code, stdout, err = run(
+            [
+                "train",
+                "--data", str(workdir / "corpus.jsonl"),
+                "--resume", str(workdir / "model.npz"),
+                "--seeds", "2",
+                "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 1 and stdout == ""
+        assert "measured: error: --resume trains a single model; drop --seeds" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "fewshot"])
+    def test_seeds_below_one_rejected(self, command, tmp_path, workdir, capsys):
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            [
+                command,
+                "--data", str(workdir / "corpus.jsonl"),
+                "--seeds", "0",
+                "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 1 and stdout == ""
+        assert err == "measured: error: --seeds must be >= 1\n"
+        assert not out.exists()
+
     def test_eval_accepts_registry_with_added_comment(self, workdir, tmp_path, capsys):
         from importlib import resources
 
@@ -369,6 +410,40 @@ class TestPredictExport:
         header = lines[0].split("\t")
         assert header[-3:] == ["dimension", "unit", "exponent_bin"]
         assert header[0] == "h_0" and header[11] == "h_11"
+
+    @pytest.mark.parametrize("limit", [0, 3])
+    def test_export_limit_counts_rows(self, limit, workdir, tmp_path, capsys):
+        out = tmp_path / "emb.tsv"
+        code, _, _ = run(
+            [
+                "export",
+                "--checkpoint", str(workdir / "model.npz"),
+                "--data", str(workdir / "corpus.jsonl"),
+                "--out", str(out),
+                "--limit", str(limit),
+            ],
+            capsys,
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + limit
+        assert lines[0].startswith("h_0\t")
+
+    def test_export_negative_limit_rejected(self, workdir, tmp_path, capsys):
+        out = tmp_path / "emb.tsv"
+        code, _, err = run(
+            [
+                "export",
+                "--checkpoint", str(workdir / "model.npz"),
+                "--data", str(workdir / "corpus.jsonl"),
+                "--out", str(out),
+                "--limit", "-5",
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert err == "measured: error: --limit must be >= 0\n"
+        assert not out.exists()
 
 
 class TestFewshot:

@@ -551,10 +551,10 @@ class TestCheckpoint:
 
     def test_meta_is_pinned(self, toy_registry, tmp_path):
         """The checkpoint's JSON header, key order included, stays as written."""
-        enc = HashedNgramEncoder(
-            EncoderConfig(feature_dim=128, hidden_dim=M, char_ngrams=(2, 5), frozen=True),
-            seed=71,
+        config = EncoderConfig(
+            feature_dim=128, hidden_dim=M, char_ngrams=(2, 5), frozen=True
         )
+        enc = HashedNgramEncoder(config, seed=71)
         spec = ModelSpec("dim-number", M, mixture_number_prediction=True)
         model = MeasurementModel(spec, toy_registry, enc, seed=73)
         path = tmp_path / "model.npz"
@@ -574,6 +574,29 @@ class TestCheckpoint:
         assert again.spec == spec
         assert again.encoder.config == enc.config
         assert again.encoder.seed == 71 and again.head_seed == 73
+
+    def test_failed_save_keeps_the_previous_checkpoint(
+        self, toy_registry, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "model.npz"
+        save_model(make_model(toy_registry, "joint", seed=79), path)
+        before = path.read_bytes()
+
+        def broken_savez(file, *args, **kwargs):
+            file.write(b"PK partial checkpoint")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "savez", broken_savez)
+        with pytest.raises(OSError, match="no space left"):
+            save_model(make_model(toy_registry, "joint", seed=83), path)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+        assert path.read_bytes() == before
+        again = load_model(path, toy_registry)
+        reference = make_model(toy_registry, "joint", seed=79)
+        for name in reference.params:
+            assert np.array_equal(again.params[name], reference.params[name])
+        assert np.array_equal(again.encoder.W_S, reference.encoder.W_S)
 
     def test_frozen_flag_survives(self, toy_registry, tmp_path):
         enc = HashedNgramEncoder(
