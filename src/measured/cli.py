@@ -355,19 +355,19 @@ def cmd_eval(args) -> int:
 def _write_csv_tables(doc: dict, directory: Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
 
-    def write(name: str, header: list, rows) -> None:
+    def write_confusion(name: str, section: dict) -> None:
         with open(directory / f"{name}.csv", "w", newline="") as f:
             writer = csv.writer(f)
-            writer.writerow(header)
-            writer.writerows(rows)
-
-    def write_confusion(name: str, section: dict) -> None:
-        labels = section["labels"]
-        rows = ([label, *row] for label, row in zip(labels, section["matrix"]))
-        write(name, ["gold\\pred", *labels], rows)
+            writer.writerow(["gold\\pred", *section["labels"]])
+            for label, row in zip(section["labels"], section["matrix"]):
+                writer.writerow([label, *row])
 
     def write_pairs(name: str, pairs: dict) -> None:
-        write(name, ["key", "value"], pairs.items())
+        with open(directory / f"{name}.csv", "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["key", "value"])
+            for key, value in pairs.items():
+                writer.writerow([key, value])
 
     for probe, section in doc.get("probes", {}).items():
         if "confusion" in section:
