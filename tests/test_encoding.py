@@ -151,6 +151,40 @@ class TestEncoder:
         untouched = np.setdiff1d(np.arange(E), indices)
         assert not grad[untouched].any()
 
+    def test_successive_projection_gradients_are_exact(self):
+        """Calls in a row on one encoder: each result is exact on its own batch.
+
+        The batches' column sets overlap, are disjoint, or are empty.  A
+        result may be overwritten by the next call, so each is checked first.
+        """
+        E, M, B = 64, 5, 6
+        rng = np.random.default_rng(11)
+        enc = HashedNgramEncoder(EncoderConfig(feature_dim=E, hidden_dim=M), seed=0)
+
+        def integer_batch(columns):
+            lengths = rng.integers(1, 9, size=B)
+            indptr = np.concatenate([[0], np.cumsum(lengths)])
+            indices = rng.choice(columns, size=indptr[-1])  # columns may repeat
+            values = rng.integers(1, 4, size=indptr[-1]).astype(float)
+            return sparse.csr_matrix((values, indices, indptr), shape=(B, E))
+
+        empty = enc.feature_matrix([""] * B)
+        batches = [
+            integer_batch(np.arange(0, 20)),
+            integer_batch(np.arange(10, 30)),  # overlaps the first
+            integer_batch(np.arange(40, 64)),  # disjoint from both
+            empty,
+            integer_batch(np.arange(0, 20)),
+            empty,
+        ]
+        for X in batches:
+            dH = rng.integers(-3, 4, size=(B, M)).astype(float)
+            grad = enc.projection_gradient(X, dH)
+            assert grad.shape == (E, M)
+            assert np.array_equal(grad, X.toarray().T @ dH)
+            untouched = np.setdiff1d(np.arange(E), X.indices)
+            assert not grad[untouched].any()
+
     def test_stored_projection_is_used_and_shape_checked(self):
         W = np.arange(64 * 4, dtype=float).reshape(64, 4)
         config = EncoderConfig(feature_dim=64, hidden_dim=4)

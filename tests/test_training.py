@@ -389,6 +389,30 @@ class TestTrainLoop:
         train(model, corpus, self.config(max_epochs=2))
         assert len(refs) > 2
 
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_training_matches_fresh_projection_gradients(
+        self, variant, registry, corpus, monkeypatch
+    ):
+        """Training equals, bit for bit, training on a fresh ``X.T @ dH`` per step."""
+
+        def run():
+            model = small_model(registry, variant, seed=23)
+            result = train(model, corpus, self.config(max_epochs=3, patience=5))
+            return model.trainable_parameters(), result.history
+
+        params, history = run()
+        monkeypatch.setattr(
+            HashedNgramEncoder,
+            "projection_gradient",
+            lambda self, X, dH: np.asarray(X.T @ dH),
+        )
+        fresh_params, fresh_history = run()
+        assert len(history) == 3
+        assert history == fresh_history
+        assert set(params) == set(fresh_params)
+        for name, p in params.items():
+            assert np.array_equal(p, fresh_params[name]), name
+
     def test_nan_head_weight_stops_training(self, registry, corpus):
         model = small_model(registry, "joint", seed=14)
         model.params["W_D"][0, 0] = np.nan
