@@ -25,13 +25,13 @@ data, training is bit-reproducible.
 from __future__ import annotations
 
 import math
-import mmap
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from measured.data import DatasetSplit
+from measured.encoding import _small_page_zeros
 from measured.model import (
     VARIANT_RECORDS,
     MeasurementModel,
@@ -153,23 +153,6 @@ class AdamWState:
     row_sparse: frozenset[str] = frozenset()
 
 
-def _small_page_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """Zeros whose memory is mapped 4 KiB page by page as rows are written.
-
-    numpy advises the kernel to back large arrays with 2 MiB huge pages, so
-    the first lazy step, which writes a few thousand scattered rows of each
-    moment, would map and zero nearly all of an ``np.zeros`` array.  A
-    private anonymous mapping advised against huge pages maps only the
-    pages of the rows written.  Elsewhere this is plain ``np.zeros``.
-    """
-    if not hasattr(mmap, "MADV_NOHUGEPAGE"):
-        return np.zeros(shape, dtype)
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    buf.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buf, dtype).reshape(shape)
-
-
 def adamw_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
@@ -228,7 +211,8 @@ def gradients(
 
     ``X`` is the batch feature matrix (built from the examples' text when
     omitted).  The encoder projection gradient is included unless the
-    encoder is frozen.
+    encoder is frozen; it is a view of the encoder's one gradient buffer,
+    which the next call overwrites, so train one encoder from one thread.
     """
     if X is None:
         X = model.encoder.feature_matrix([ex.masked_text for ex in examples])
@@ -375,7 +359,7 @@ def train(
                 raise NonFiniteLoss(f"epoch {epoch}, step {step}: batch loss is {loss}")
             lr = lr_at(step, config)
             adamw_step(params, grads, opt, lr)
-            # free this step's W_S gradient (512 MB by default) before the next one
+            # drop this step's view of the W_S gradient: the next step overwrites it
             del grads
             epoch_loss += loss
             n_batches += 1

@@ -1,9 +1,13 @@
+import errno
 import io
+import mmap
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from measured import encoding
 from measured.data import ingest
 from measured.encoding import (
     EncoderConfig,
@@ -184,6 +188,44 @@ class TestEncoder:
             assert np.array_equal(grad, X.toarray().T @ dH)
             untouched = np.setdiff1d(np.arange(E), X.indices)
             assert not grad[untouched].any()
+
+    def test_projection_gradient_reuses_one_buffer(self):
+        """After the first call, a gradient costs the heap only its batch's rows."""
+        E, M = 2**16, 32
+        enc = HashedNgramEncoder(EncoderConfig(feature_dim=E, hidden_dim=M), seed=0)
+        texts = [
+            "The bridge spans [#NUM] [#UNIT] across the river.",
+            "a runner covered [#NUM] [#UNIT] in the morning",
+            "",
+            "the tank holds [#NUM] [#UNIT] of water",
+        ]
+        rng = np.random.default_rng(3)
+        X = enc.feature_matrix(texts)
+        enc.projection_gradient(X, rng.normal(size=(len(texts), M)))
+        tracemalloc.start()
+        try:
+            for i in range(3):
+                X = enc.feature_matrix(texts[i:])
+                enc.projection_gradient(X, rng.normal(size=(X.shape[0], M)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < E * M * 8 // 16
+
+    def test_small_page_zeros_survive_refused_huge_page_advice(self, monkeypatch):
+        """A kernel without transparent huge pages rejects the advice with EINVAL."""
+
+        class Refusing(mmap.mmap):
+            def madvise(self, *args):
+                raise OSError(errno.EINVAL, "Invalid argument")
+
+        monkeypatch.setattr(encoding.mmap, "MADV_NOHUGEPAGE", 14, raising=False)
+        monkeypatch.setattr(encoding.mmap, "mmap", Refusing)
+        zeros = encoding._small_page_zeros((5, 3), np.float64)
+        assert zeros.shape == (5, 3) and zeros.dtype == np.float64
+        assert not zeros.any()
+        zeros[2] = 1.0
+        assert zeros.sum() == 3.0
 
     def test_stored_projection_is_used_and_shape_checked(self):
         W = np.arange(64 * 4, dtype=float).reshape(64, 4)

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from measured import training
+from measured import encoding, training
 from measured.data import ingest, split
 from measured.encoding import EncoderConfig, HashedNgramEncoder
 from measured.model import LN10, MeasurementModel, ModelSpec, VARIANTS
@@ -156,8 +156,8 @@ class TestAdamW:
         self, huge_page_advice, monkeypatch
     ):
         if not huge_page_advice:
-            monkeypatch.delattr(training.mmap, "MADV_NOHUGEPAGE", raising=False)
-        zeros = training._small_page_zeros((5, 3), np.float64)
+            monkeypatch.delattr(encoding.mmap, "MADV_NOHUGEPAGE", raising=False)
+        zeros = encoding._small_page_zeros((5, 3), np.float64)
         assert zeros.shape == (5, 3) and zeros.dtype == np.float64
         assert not zeros.any()
         zeros[2] = 1.0
