@@ -3,10 +3,16 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from measured.cli import build_parser, main
-from measured.data import read_jsonl
+from measured.data import ingest, read_jsonl, split
+from measured.encoding import EncoderConfig
+from measured.experiments import train_variant
+from measured.model import save_model
+from measured.training import TrainConfig, batch_loss
+from measured.units import default_registry
 
 
 def sha(path):
@@ -151,6 +157,54 @@ class TestTrainEval:
         summary = json.loads(out)
         assert summary["seeds"] == 2
         assert "mean" in summary and "sd" in summary
+
+    def test_train_is_train_variant_per_seed(self, tmp_path, workdir, capsys):
+        """Each seed trains as ``train_variant`` does; the first seed is saved."""
+        corpus, ckpt = workdir / "corpus.jsonl", tmp_path / "m.npz"
+        code, out, _ = run(
+            [
+                "train",
+                "--data", str(corpus),
+                "--out", str(ckpt),
+                "--feature-dim", "512",
+                "--hidden-dim", "8",
+                "--batch-size", "32",
+                "--epochs", "2",
+                "--warmup", "5",
+                "--lr", "5e-3",
+                "--seeds", "2",
+                "--seed", "4",
+            ],
+            capsys,
+        )
+        assert code == 0
+        registry = default_registry()
+        corpus_split = split(ingest(read_jsonl(corpus), registry).examples, seed=4)
+        encoder_config = EncoderConfig(feature_dim=512, hidden_dim=8)
+        train_config = TrainConfig(
+            batch_size=32, max_epochs=2, warmup_steps=5, learning_rate=5e-3
+        )
+        models, values = [], []
+        for seed in (4, 5):
+            model = train_variant(
+                "joint", corpus_split, registry, encoder_config, train_config, seed
+            )
+            # the selected epoch's parameters are restored, so this is its value
+            models.append(model)
+            values.append(batch_loss(model, corpus_split.val))
+        save_model(models[0], tmp_path / "ref.npz")
+        with np.load(ckpt) as got, np.load(tmp_path / "ref.npz") as want:
+            assert sorted(got.files) == sorted(want.files)
+            for name in want.files:
+                assert np.array_equal(got[name], want[name]), name
+        assert json.loads(out) == {
+            "variant": "joint",
+            "selection_metric": "joint-nll",
+            "seeds": 2,
+            "mean": float(np.mean(values)),
+            "sd": float(np.std(values, ddof=1)),
+            "checkpoint": str(ckpt),
+        }
 
     def test_checkpoint_written_at_the_given_path(self, tmp_path, workdir, capsys):
         ckpt = tmp_path / "x.ckpt"

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from collections import Counter
 from dataclasses import replace
@@ -36,6 +38,16 @@ def test_deterministic(reg):
     assert a == b
     c = generate_records(SynthConfig(n_examples=100, seed=5), reg)
     assert a != c
+
+
+def test_records_are_pinned(reg):
+    """A seed's corpus never drifts: its records hash to a fixed value."""
+    config = SynthConfig(n_examples=400, seed=5, ambiguity=0.3)
+    records = generate_records(config, reg)
+    blob = json.dumps(records, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == (
+        "5e6bcea4a268ae3b5c9af4b3112c1d58714f4e46f81c1e5eac515f3e0043cfdc"
+    )
 
 
 def test_balanced_counts(reg):
