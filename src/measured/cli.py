@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -27,10 +28,9 @@ import numpy as np
 
 from measured import data as data_mod
 from measured import evaluation, experiments, synth, training
-from measured.encoding import EncoderConfig, HashedNgramEncoder, export_embeddings
+from measured.encoding import EncoderConfig, export_embeddings
 from measured.model import (
     MeasurementModel,
-    ModelSpec,
     VARIANTS,
     load_model,
     save_model,
@@ -149,16 +149,14 @@ def _load_registry(args) -> UnitRegistry:
 
 
 def _open_out(path):
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
+    return open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
 
 
 def _write_json(doc, path) -> None:
     """Indented JSON to ``path``, or to stdout when it is None."""
-    f = _open_out(path)
-    json.dump(doc, f, indent=2, ensure_ascii=False)
-    f.write("\n")
-    if f is not sys.stdout:
-        f.close()
+    with _open_out(path) as f:
+        json.dump(doc, f, indent=2, ensure_ascii=False)
+        f.write("\n")
 
 
 def _add_encoder_options(cmd: _Command) -> None:
@@ -237,13 +235,19 @@ def _check_resume_options(args, model: MeasurementModel) -> None:
         )
 
 
-def _load_split(args, registry) -> data_mod.DatasetSplit:
-    result = data_mod.load_examples(args.data, registry)
+def _load_examples(args, registry) -> list[data_mod.MeasurementExample]:
+    """Ingest the ``--data`` file, reporting dropped records on stderr."""
+    result = data_mod.ingest(data_mod.read_jsonl(args.data), registry)
     if result.drops:
         print(f"ingest drops: {dict(result.drops)}", file=sys.stderr)
-    if not result.examples:
+    return result.examples
+
+
+def _load_split(args, registry) -> data_mod.DatasetSplit:
+    examples = _load_examples(args, registry)
+    if not examples:
         raise ValueError(f"no usable examples in {args.data}")
-    return data_mod.split(result.examples, tuple(args.ratios), seed=args.seed)
+    return data_mod.split(examples, tuple(args.ratios), seed=args.seed)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -283,10 +287,7 @@ def cmd_synth(args) -> int:
 
 def cmd_stats(args) -> int:
     registry = _load_registry(args)
-    result = data_mod.load_examples(args.data, registry)
-    if result.drops:
-        print(f"ingest drops: {dict(result.drops)}", file=sys.stderr)
-    _write_json(data_mod.stats(result.examples).to_json_dict(), args.out)
+    _write_json(data_mod.stats(_load_examples(args, registry)).to_json_dict(), args.out)
     return 0
 
 
@@ -300,24 +301,21 @@ def cmd_train(args) -> int:
     train_config = _train_config(args)
 
     metrics = []
-    first_model = first_result = None
+    first_result = None
     for i in range(args.seeds):
         seed = args.seed + i
-        if args.resume:
+        if args.resume:  # a single seed, so train_config.seed is already it
             model = load_model(args.resume, registry)
             _check_resume_options(args, model)
+            result = training.train(model, split, train_config)
         else:
-            encoder = HashedNgramEncoder(_encoder_config(args), seed=seed)
-            spec = ModelSpec(
-                args.variant,
-                args.hidden_dim,
-                mixture_number_prediction=args.mixture_number,
+            result = experiments.train_variant(
+                args.variant, split, registry, _encoder_config(args), train_config,
+                seed, mixture_number_prediction=args.mixture_number,
             )
-            model = MeasurementModel(spec, registry, encoder, seed=seed)
-        result = training.train(model, split, replace(train_config, seed=seed))
         metrics.append(result.best_value)
-        if first_model is None:
-            first_model, first_result = model, result
+        if first_result is None:
+            first_result = result
             if args.history:
                 data_mod.write_jsonl(args.history, result.history)
         print(
@@ -327,9 +325,9 @@ def cmd_train(args) -> int:
         )
 
     out = args.out or "model.npz"
-    save_model(first_model, out)
+    save_model(first_result.model, out)
     summary = {
-        "variant": first_model.spec.variant,
+        "variant": first_result.model.spec.variant,
         "selection_metric": first_result.selection_metric,
         "seeds": args.seeds,
         "mean": float(np.mean(metrics)),
@@ -384,13 +382,19 @@ def _write_csv_tables(doc: dict, directory: Path) -> None:
 def cmd_predict(args) -> int:
     registry = _load_registry(args)
     model = load_model(args.checkpoint, registry)
-    f = _open_out(args.out)
-    with open(args.input, encoding="utf-8") as lines:
-        for raw in lines:
+    with _open_out(args.out) as f, open(args.input, encoding="utf-8") as lines:
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line:
                 continue
-            text = json.loads(line)["text"] if line.startswith("{") else line
+            text = line
+            if line.startswith("{"):
+                try:
+                    text = json.loads(line).get("text")
+                except json.JSONDecodeError as err:
+                    raise ValueError(f"{args.input}:{lineno}: {err}") from None
+                if not isinstance(text, str):
+                    raise ValueError(f'{args.input}:{lineno}: no "text" string')
             pred = model.predict(model.encode(text))
             record = {
                 "text": text,
@@ -404,8 +408,6 @@ def cmd_predict(args) -> int:
                 },
             }
             f.write(json.dumps(record, ensure_ascii=False) + "\n")
-    if f is not sys.stdout:
-        f.close()
     return 0
 
 
@@ -431,8 +433,7 @@ def cmd_export(args) -> int:
         raise ValueError("--limit must be >= 0")
     registry = _load_registry(args)
     model = load_model(args.checkpoint, registry)
-    result = data_mod.load_examples(args.data, registry)
-    examples = result.examples if args.limit is None else result.examples[: args.limit]
+    examples = _load_examples(args, registry)[: args.limit]
     out = args.out or "embeddings.tsv"
     n = export_embeddings(model.encoder, examples, out)
     print(f"export: wrote {n} rows to {out}", file=sys.stderr)

@@ -181,20 +181,18 @@ class IngestResult:
 def ingest(
     records: Iterable[dict],
     registry: UnitRegistry,
-    *,
-    max_tokens: int = MAX_TOKENS,
 ) -> IngestResult:
     """Resolve, canonicalize, and filter raw records into examples.
 
     Output order equals input order.  Drop reasons: ``bad-record`` (missing
     or mistyped fields), ``bad-mask`` (mask tokens absent or repeated),
     ``negative`` / ``zero`` / ``non-finite`` (number constraints),
-    ``unknown-unit``, ``too-long`` (more than ``max_tokens`` tokens), and
+    ``unknown-unit``, ``too-long`` (more than ``MAX_TOKENS`` tokens), and
     ``non-positive-canonical``.
     """
     result = IngestResult([])
     for record in records:
-        reason = _ingest_one(record, registry, max_tokens, result.examples)
+        reason = _ingest_one(record, registry, result.examples)
         if reason is not None:
             result.drops[reason] += 1
     return result
@@ -203,7 +201,6 @@ def ingest(
 def _ingest_one(
     record: dict,
     registry: UnitRegistry,
-    max_tokens: int,
     out: list[MeasurementExample],
 ) -> str | None:
     if not isinstance(record, dict):
@@ -231,7 +228,7 @@ def _ingest_one(
         unit = registry.resolve_unit(unit_token)
     except UnknownUnit:
         return "unknown-unit"
-    if len(tokenize(text)) > max_tokens:
+    if len(tokenize(text)) > MAX_TOKENS:
         return "too-long"
     canonical, _ = registry.canonicalize(number, unit)
     if not canonical > 0:
@@ -276,11 +273,6 @@ def write_jsonl(path, records: Iterable[dict]) -> int:
             f.write("\n")
             n += 1
     return n
-
-
-def load_examples(path, registry: UnitRegistry) -> IngestResult:
-    """Read a JSONL file and ingest it (idempotent over ingested files)."""
-    return ingest(read_jsonl(path), registry)
 
 
 # -- splitting and sampling ------------------------------------------------------

@@ -188,28 +188,15 @@ def featurize(text: str, config: EncoderConfig) -> FeatureVector:
     return _featurize(text, config, _prefix_states(config), {})
 
 
-def feature_matrix(features: list[FeatureVector], dim: int) -> sparse.csr_matrix:
-    """Stack feature vectors into one CSR matrix (rows follow input order)."""
-    indptr = np.zeros(len(features) + 1, dtype=np.int64)
-    for i, fv in enumerate(features):
-        indptr[i + 1] = indptr[i] + len(fv.indices)
-    indices = (
-        np.concatenate([fv.indices for fv in features])
-        if features
-        else np.empty(0, dtype=np.int64)
-    )
-    values = np.concatenate([fv.values for fv in features]) if features else np.empty(0)
-    return sparse.csr_matrix((values, indices, indptr), shape=(len(features), dim))
-
-
 class HashedNgramEncoder:
     """Reference encoder: hashed n-gram featurizer with linear projection.
 
     The trainable surface is the single projection matrix ``W_S`` (empty
     when frozen); gradient flow uses :meth:`encode_matrix` plus
-    :meth:`projection_gradient` on a batch feature matrix.  ``W_S`` is drawn
-    from ``seed`` unless a stored matrix is given, as when loading a
-    checkpoint.
+    :meth:`projection_gradient` on a batch feature matrix; one text takes
+    :meth:`encode`, a gather of its own ``W_S`` rows with no CSR matrix.
+    ``W_S`` is drawn from ``seed`` unless a stored matrix is given, as when
+    loading a checkpoint.
 
     :meth:`featurize` hashes through the encoder's own memo (see the module
     docstring): at most ``_MEMO_CAPACITY`` entries, cleared when full, empty
@@ -249,19 +236,29 @@ class HashedNgramEncoder:
     def featurize(self, text: str) -> FeatureVector:
         return _featurize(text, self.config, self._prefixes, self._memo)
 
-    def encode_features(self, fv: FeatureVector) -> np.ndarray:
+    def encode(self, text: str) -> np.ndarray:
+        """Hidden vector for one text: ``W_S^T featurize(text)``."""
+        fv = self.featurize(text)
         if len(fv.indices) == 0:
             return np.zeros(self.config.hidden_dim)
         return fv.values @ self.W_S[fv.indices]
 
-    def encode(self, text: str) -> np.ndarray:
-        """Hidden vector for one text: ``W_S^T featurize(text)``."""
-        return self.encode_features(self.featurize(text))
-
     def feature_matrix(self, texts: list[str]) -> sparse.csr_matrix:
-        return feature_matrix(
-            [self.featurize(t) for t in texts], self.config.feature_dim
+        """The texts' feature vectors stacked into one CSR matrix, in input order."""
+        features = [self.featurize(t) for t in texts]
+        indptr = np.zeros(len(features) + 1, dtype=np.int64)
+        for i, fv in enumerate(features):
+            indptr[i + 1] = indptr[i] + len(fv.indices)
+        indices = (
+            np.concatenate([fv.indices for fv in features])
+            if features
+            else np.empty(0, dtype=np.int64)
         )
+        values = (
+            np.concatenate([fv.values for fv in features]) if features else np.empty(0)
+        )
+        shape = (len(features), self.config.feature_dim)
+        return sparse.csr_matrix((values, indices, indptr), shape=shape)
 
     def encode_matrix(self, X: sparse.csr_matrix) -> np.ndarray:
         """Batch hidden vectors, one row per feature-matrix row."""

@@ -28,7 +28,7 @@ from measured.data import (
     NonPositiveNumber,
     lower_median,
 )
-from measured.model import VARIANT_RECORDS, MeasurementModel, MissingHead
+from measured.model import MeasurementModel, MissingHead
 from measured.units import Dimension, UnitRegistry, manhattan_distance
 
 
@@ -132,15 +132,6 @@ def majority_baseline(train_labels, classes=None):
     return max(classes, key=lambda c: (counts[c], -classes.index(c)))
 
 
-def median_baseline(train_values) -> float:
-    """The constant regressor's value: the training median.
-
-    Even counts take the lower of the two middle values, keeping the
-    baseline deterministic.
-    """
-    return lower_median(list(train_values))
-
-
 # -- dimension-structure analyses -----------------------------------------------------
 
 def manhattan_error_histogram(
@@ -195,11 +186,6 @@ def hungarian_map(contingency: np.ndarray) -> np.ndarray:
 PROBES = ("dim", "dim-given-y", "unit", "num")
 
 
-def supported_probes(variant: str) -> tuple[str, ...]:
-    """The probes the variant answers, from its :class:`Variant` record."""
-    return VARIANT_RECORDS[variant].probes
-
-
 @dataclass
 class EvalReport:
     """Per-probe metrics plus the always-included baselines."""
@@ -235,7 +221,7 @@ def _classification_section(gold_names, pred_names, ordered_classes) -> dict:
 def baselines(split: DatasetSplit, registry: UnitRegistry) -> dict:
     """The constant predictors fit on the train split, scored on the test split.
 
-    Majority class for dimension and unit, training median for the number.
+    Majority class for dimension and unit, training lower median for the number.
     """
     report = {}
     for key, classes, label in (
@@ -247,7 +233,7 @@ def baselines(split: DatasetSplit, registry: UnitRegistry) -> dict:
         gold = [label(ex) for ex in split.test]
         section = _classification_section(gold, [majority] * len(gold), order)
         report[key] = {"label": majority, **section}
-    median = median_baseline([ex.canonical_number for ex in split.train])
+    median = lower_median([ex.canonical_number for ex in split.train])
     gold = [ex.canonical_number for ex in split.test]
     report["median_number"] = {
         "value": median,

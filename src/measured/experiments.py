@@ -16,7 +16,7 @@ from measured import evaluation
 from measured.data import DatasetSplit, fewshot_sample
 from measured.encoding import EncoderConfig, HashedNgramEncoder
 from measured.model import MeasurementModel, ModelSpec
-from measured.training import TrainConfig, train
+from measured.training import TrainConfig, TrainResult, train
 from measured.units import UnitRegistry
 
 
@@ -36,7 +36,7 @@ def train_variant(
     train_config: TrainConfig,
     seed: int,
     mixture_number_prediction: bool = False,
-) -> MeasurementModel:
+) -> TrainResult:
     """Build and train one model; ``seed`` drives init and shuffling."""
     encoder = HashedNgramEncoder(encoder_config, seed=seed)
     spec = ModelSpec(
@@ -45,8 +45,7 @@ def train_variant(
         mixture_number_prediction=mixture_number_prediction,
     )
     model = MeasurementModel(spec, registry, encoder, seed=seed)
-    train(model, split, replace(train_config, seed=seed))
-    return model
+    return train(model, split, replace(train_config, seed=seed))
 
 
 def fewshot_grid(
@@ -97,7 +96,7 @@ def fewshot_grid(
                     shot_split = DatasetSplit(shot, split.val, split.test, split.seed)
                     model = train_variant(
                         variant, shot_split, registry, config, train_config, seed
-                    )
+                    ).model
                     probes = evaluation.evaluate(model, split, (probe,)).probes
                     values.append(probes[probe][key])
                 report[table][regime][str(k)] = _summary(values)

@@ -32,9 +32,9 @@ reads the record and never branches on a variant's name.
 The loss exists once, batched over the rows of an encoded batch ``H``:
 :func:`_forward_backward` sums the terms of the variant's factors and
 returns their analytic gradients.  The per-example losses (``joint_nll``,
-``number_nll``, ``latdim_nll``) and the single-row read-outs
-(``predict_number``, ``mixture_median_location``, ``posterior_dim``) run
-the batched code on ``h[None]``.
+``number_nll``, ``latdim_nll``) run it on ``h[None]``.  The number and
+posterior read-outs (``predict_number_batch``, ``mixture_median_locations``,
+``posterior_dims``) exist only batched: one row is ``H = h[None]``.
 
 All losses and locations use base-10 logarithms throughout, so a loss of 1
 means "off by one decade".  Inference methods are pure given parameters and
@@ -395,10 +395,6 @@ class MeasurementModel:
                 scores[:, di] = log_prior[:, di] + _logsumexp(log_pu + log_dens)
         return _softmax(scores, axis=1)
 
-    def posterior_dim(self, h: np.ndarray, canonical_number: float) -> np.ndarray:
-        """:meth:`posterior_dims` of a single row."""
-        return self.posterior_dims(h[None], [canonical_number])[0]
-
     def conditional_number(
         self,
         h: np.ndarray,
@@ -425,14 +421,6 @@ class MeasurementModel:
         else:
             raise ValueError(f"condition must be 'gold' or 'argmax', got {condition!r}")
         return 10.0 ** float(self.number_locations(h)[col])
-
-    def mixture_median_location(self, h: np.ndarray) -> float:
-        """Median of the dimension-mixture number distribution in log10 space."""
-        return float(self.mixture_median_locations(h[None])[0])
-
-    def predict_number(self, h: np.ndarray) -> float:
-        """Canonical number predicted from text alone (marginal read-out)."""
-        return float(self.predict_number_batch(h[None])[0])
 
     # -- batched inference (H has one row per example) ----------------------------
 
@@ -503,7 +491,7 @@ class MeasurementModel:
         ui = int(np.argmax(unit_probs))
         unit = self.registry.units[ui]
         if self._reads_mixture_median:
-            mu = self.mixture_median_location(h)
+            mu = float(self.mixture_median_locations(h[None])[0])
         else:
             mu = float(self.number_locations(h)[self._columns_given(di, ui)])
         canonical = 10.0 ** mu
@@ -712,7 +700,7 @@ def _from_meta(cls, meta: dict):
 
 
 def load_model(path, registry: UnitRegistry) -> MeasurementModel:
-    """Rebuild a model from a checkpoint; the registry must fingerprint-match."""
+    """Rebuild a model from a checkpoint whose registry and head set must match."""
     with np.load(path, allow_pickle=False) as z:
         meta = json.loads(str(z["__meta__"][()]))
         if meta.get("format") == "measured-checkpoint-v1":
@@ -736,6 +724,11 @@ def load_model(path, registry: UnitRegistry) -> MeasurementModel:
         )
         spec = _from_meta(ModelSpec, meta)
         model = MeasurementModel(spec, registry, encoder, seed=meta["head_seed"])
+        differ = sorted(set(meta["heads"]) ^ set(model.params))
+        if differ:
+            raise ValueError(
+                f"checkpoint heads differ from {spec.variant!r}'s: {', '.join(differ)}"
+            )
         for name in meta["heads"]:
             stored = z[f"head.{name}"]
             if stored.shape != model.params[name].shape:

@@ -22,6 +22,8 @@ from measured.data import MASK_NUMBER, MASK_UNIT
 from measured.seeding import stream_rng
 from measured.units import UnitRegistry
 
+SIGNIFICANT_DIGITS = 6  # every surface number is rounded to this many
+
 FILLER_WORDS = (
     "northern", "southern", "eastern", "western", "annual", "seasonal",
     "regional", "municipal", "provincial", "historic", "modern", "upgraded",
@@ -154,14 +156,13 @@ DEFAULT_PROFILES = (
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Corpus knobs; filler words, neutral templates and rounding are constants."""
+
     n_examples: int = 7000
     seed: int = 0
     ambiguity: float = 0.0
     balanced: bool = True
-    significant_digits: int = 6
     profiles: tuple[DimensionProfile, ...] = DEFAULT_PROFILES
-    ambiguous_templates: tuple[str, ...] = AMBIGUOUS_TEMPLATES
-    filler_words: tuple[str, ...] = FILLER_WORDS
 
     def validate(self) -> None:
         if self.n_examples <= 0:
@@ -170,23 +171,15 @@ class SynthConfig:
             raise ValueError("ambiguity must lie in [0, 1]")
         if not self.profiles:
             raise ValueError("at least one dimension profile required")
-        if self.ambiguity > 0 and not self.ambiguous_templates:
-            raise ValueError("ambiguity > 0 needs ambiguous templates")
         for prof in self.profiles:
             if not prof.templates or not prof.units:
                 raise ValueError(f"profile {prof.dimension!r} is empty")
             for up in prof.units:
                 if up.log10_scale <= 0 or up.weight <= 0:
                     raise ValueError(f"bad unit profile {up.unit!r}")
-        for tpl in self._all_templates():
-            if tpl.count(MASK_NUMBER) != 1 or tpl.count(MASK_UNIT) != 1:
-                raise ValueError(f"template needs one of each mask: {tpl!r}")
-
-    def _all_templates(self) -> list[str]:
-        out = list(self.ambiguous_templates)
-        for prof in self.profiles:
-            out.extend(prof.templates)
-        return out
+            for tpl in prof.templates:
+                if tpl.count(MASK_NUMBER) != 1 or tpl.count(MASK_UNIT) != 1:
+                    raise ValueError(f"template needs one of each mask: {tpl!r}")
 
 
 def _round_sig(value: float, digits: int) -> float:
@@ -235,12 +228,10 @@ def generate_records(config: SynthConfig, registry: UnitRegistry) -> list[dict]:
     for di in dim_indices:
         prof = config.profiles[di]
         if config.ambiguity > 0 and rng.random() < config.ambiguity:
-            template = config.ambiguous_templates[
-                rng.integers(len(config.ambiguous_templates))
-            ]
+            template = AMBIGUOUS_TEMPLATES[rng.integers(len(AMBIGUOUS_TEMPLATES))]
         else:
             template = prof.templates[rng.integers(len(prof.templates))]
-        text = _fill(template, rng, config.filler_words)
+        text = _fill(template, rng, FILLER_WORDS)
 
         unit_weights = [u.weight for u in prof.units]
         probs = [w / sum(unit_weights) for w in unit_weights]
@@ -259,7 +250,7 @@ def generate_records(config: SynthConfig, registry: UnitRegistry) -> list[dict]:
         records.append(
             {
                 "text": text,
-                "number": _round_sig(surface, config.significant_digits),
+                "number": _round_sig(surface, SIGNIFICANT_DIGITS),
                 "unit": up.unit,
             }
         )

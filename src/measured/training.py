@@ -62,7 +62,8 @@ class TrainConfig:
     higher rate 1e-3 and log-frequency class weighting, unfrozen ones get
     1e-4 and uniform weights; the selection metric is the variant
     record's ``selection_metric`` (macro-F1 for pure classifiers, log-mae
-    for the pure number model, joint NLL otherwise).
+    for the pure number model, joint NLL otherwise).  Adam's ``betas`` and
+    ``eps`` are the :class:`AdamWState` defaults.
     """
 
     batch_size: int = 200
@@ -74,8 +75,6 @@ class TrainConfig:
     weighting: str | None = None  # "uniform" | "log-frequency"
     selection_metric: str | None = None  # "joint-nll" | "macro-f1" | "log-mae"
     weight_decay: float = 0.01
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
@@ -324,8 +323,6 @@ def train(
 
     params = model.trainable_parameters()
     opt = AdamWState(
-        betas=config.betas,
-        eps=config.eps,
         weight_decay=config.weight_decay,
         row_sparse=frozenset({"encoder.W_S"}),
     )

@@ -11,12 +11,12 @@ from measured.data import ingest, read_jsonl, split
 from measured.encoding import EncoderConfig
 from measured.experiments import train_variant
 from measured.model import save_model
-from measured.training import TrainConfig, batch_loss
+from measured.training import TrainConfig
 from measured.units import default_registry
 
 
 def sha(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def run(argv, capsys):
@@ -161,11 +161,13 @@ class TestTrainEval:
     def test_train_is_train_variant_per_seed(self, tmp_path, workdir, capsys):
         """Each seed trains as ``train_variant`` does; the first seed is saved."""
         corpus, ckpt = workdir / "corpus.jsonl", tmp_path / "m.npz"
+        history = tmp_path / "history.jsonl"
         code, out, _ = run(
             [
                 "train",
                 "--data", str(corpus),
                 "--out", str(ckpt),
+                "--history", str(history),
                 "--feature-dim", "512",
                 "--hidden-dim", "8",
                 "--batch-size", "32",
@@ -184,15 +186,14 @@ class TestTrainEval:
         train_config = TrainConfig(
             batch_size=32, max_epochs=2, warmup_steps=5, learning_rate=5e-3
         )
-        models, values = [], []
-        for seed in (4, 5):
-            model = train_variant(
+        results = [
+            train_variant(
                 "joint", corpus_split, registry, encoder_config, train_config, seed
             )
-            # the selected epoch's parameters are restored, so this is its value
-            models.append(model)
-            values.append(batch_loss(model, corpus_split.val))
-        save_model(models[0], tmp_path / "ref.npz")
+            for seed in (4, 5)
+        ]
+        values = [result.best_value for result in results]
+        save_model(results[0].model, tmp_path / "ref.npz")
         with np.load(ckpt) as got, np.load(tmp_path / "ref.npz") as want:
             assert sorted(got.files) == sorted(want.files)
             for name in want.files:
@@ -205,6 +206,7 @@ class TestTrainEval:
             "sd": float(np.std(values, ddof=1)),
             "checkpoint": str(ckpt),
         }
+        assert list(read_jsonl(history)) == results[0].history
 
     def test_checkpoint_written_at_the_given_path(self, tmp_path, workdir, capsys):
         ckpt = tmp_path / "x.ckpt"
@@ -445,6 +447,45 @@ class TestPredictExport:
             assert {"text", "dimension", "unit", "number", "canonical_number"} <= set(r)
             assert r["number"] > 0
             assert abs(sum(r["dim_probs"].values()) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize(
+        "bad", [{"sentence": "a [#NUM] [#UNIT] b"}, {"text": 3}, '{"text": "a'],
+    )
+    def test_predict_names_the_bad_input_line(self, bad, workdir, tmp_path, capsys):
+        sentences = tmp_path / "in.jsonl"
+        bad_line = bad if isinstance(bad, str) else json.dumps(bad)
+        sentences.write_text(f"The tower stands [#NUM] [#UNIT] tall .\n\n{bad_line}\n")
+        out = tmp_path / "pred.jsonl"
+        code, _, err = run(
+            [
+                "predict",
+                "--checkpoint", str(workdir / "model.npz"),
+                "--input", str(sentences),
+                "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith(f"measured: error: {sentences}:3: ")
+
+    def test_export_reports_dropped_records(self, workdir, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        kept = (workdir / "corpus.jsonl").read_text().splitlines()[:3]
+        negative = {"text": "a [#NUM] [#UNIT] b", "number": -5.0, "unit": "km"}
+        corpus.write_text("\n".join([*kept, json.dumps(negative)]) + "\n")
+        out = tmp_path / "emb.tsv"
+        code, _, err = run(
+            [
+                "export",
+                "--checkpoint", str(workdir / "model.npz"),
+                "--data", str(corpus),
+                "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert "ingest drops: {'negative': 1}" in err
+        assert len(out.read_text().splitlines()) == 1 + len(kept)
 
     def test_export_tsv(self, workdir, tmp_path, capsys):
         out = tmp_path / "emb.tsv"

@@ -88,10 +88,9 @@ class TestFeaturize:
 class TestEncoder:
     def test_encode_is_linear_in_features(self):
         enc = HashedNgramEncoder(CFG, seed=1)
-        fv = enc.featurize("a small test sentence")
-        h1 = enc.encode_features(fv)
-        scaled = type(fv)(fv.indices, fv.values * 2.5, fv.dim)
-        h2 = enc.encode_features(scaled)
+        X = enc.feature_matrix(["a small test sentence"])
+        h1 = enc.encode_matrix(X)[0]
+        h2 = enc.encode_matrix(X * 2.5)[0]
         assert np.allclose(h2, 2.5 * h1)
 
     def test_zero_features_give_zero_hidden(self):

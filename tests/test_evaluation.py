@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from measured.data import NonPositiveNumber, ingest, split
+from measured.data import NonPositiveNumber, ingest, lower_median, split
 from measured.encoding import EncoderConfig, HashedNgramEncoder
 from measured.evaluation import (
     LengthMismatch,
@@ -20,7 +20,6 @@ from measured.evaluation import (
     macro_recall,
     majority_baseline,
     manhattan_error_histogram,
-    median_baseline,
 )
 from measured.model import MeasurementModel, MissingHead, ModelSpec
 from measured.synth import SynthConfig, generate_records
@@ -124,16 +123,16 @@ class TestBaselines:
         assert majority_baseline(["b", "a"], classes=["b", "a"]) == "b"
 
     def test_median_odd(self):
-        assert median_baseline([1.0, 10.0, 100.0]) == 10.0
+        assert lower_median([1.0, 10.0, 100.0]) == 10.0
 
     def test_median_even_lower_of_middle(self):
-        assert median_baseline([1.0, 2.0, 3.0, 4.0]) == 2.0
+        assert lower_median([1.0, 2.0, 3.0, 4.0]) == 2.0
 
     def test_median_minimizes_log_mae_among_constants(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             sample = 10.0 ** rng.uniform(-4, 4, size=rng.integers(3, 40))
-            med = median_baseline(sample)
+            med = lower_median(sample)
             best = log_mae(sample, np.full(len(sample), med))
             for candidate in np.logspace(-5, 5, 301):
                 alt = log_mae(sample, np.full(len(sample), candidate))
@@ -315,7 +314,8 @@ class TestEvaluate:
         section = evaluate(model, corpus, probes=("dim-given-y",)).probes["dim-given-y"]
         pred = []
         for ex in corpus.test:
-            post = model.posterior_dim(model.encode(ex.masked_text), ex.canonical_number)
+            h = model.encode(ex.masked_text)
+            post = model.posterior_dims(h[None], [ex.canonical_number])[0]
             pred.append(registry.dimensions[int(np.argmax(post))].name)
         labels = section["confusion"]["labels"]
         gold = [ex.dimension.name for ex in corpus.test]

@@ -40,7 +40,7 @@ class TestFewshotGrid:
                     def probe(variant, name):
                         model = train_variant(
                             variant, shot_split, registry, config, TRAIN, seed
-                        )
+                        ).model
                         return evaluate(model, corpus, (name,)).probes[name]
 
                     f1s.append(probe("dim", "dim")["macro_f1"])
@@ -49,7 +49,7 @@ class TestFewshotGrid:
                 assert grid["number_log_mae"][regime][str(k)]["values"] == maes
 
     def test_baselines_are_the_evaluate_baselines(self, grid, corpus, registry):
-        model = train_variant("dim", corpus, registry, ENCODER, TRAIN, 0)
+        model = train_variant("dim", corpus, registry, ENCODER, TRAIN, 0).model
         baselines = evaluate(model, corpus, ("dim",)).baselines
         majority = baselines["majority_dimension"]
         assert grid["dimension_macro_f1"]["majority"] == {

@@ -300,7 +300,7 @@ class TestPosterior:
             [0.5 * 10.0 ** -abs(t - m) / (y * LN10) for m in mu]
         )
         expected = prior * dens / (prior * dens).sum()
-        assert np.allclose(model.posterior_dim(h, y), expected, atol=1e-12)
+        assert np.allclose(model.posterior_dims(h[None], [y])[0], expected, atol=1e-12)
 
     def test_flat_prior_matches_pure_likelihood(self, toy_registry):
         model = make_model(toy_registry, "dim-number", seed=23)
@@ -310,16 +310,15 @@ class TestPosterior:
         y = 30.0
         mu = model.number_locations(h)
         best_density = int(np.argmin(np.abs(math.log10(y) - mu)))
-        assert int(np.argmax(model.posterior_dim(h, y))) == best_density
+        assert int(np.argmax(model.posterior_dims(h[None], [y])[0])) == best_density
 
     def test_posterior_equals_prior_when_densities_equal(self, toy_registry):
         model = make_model(toy_registry, "dim-number", seed=29)
         model.params["W_Y"][:] = 0.0
         model.params["b_Y"][:] = 0.7
         h = rand_h(14)
-        assert np.allclose(
-            model.posterior_dim(h, 12.0), model.dim_distribution(h), atol=1e-12
-        )
+        posterior = model.posterior_dims(h[None], [12.0])[0]
+        assert np.allclose(posterior, model.dim_distribution(h), atol=1e-12)
 
     def test_unit_mixture_posterior_brute_force(self, toy_registry):
         model = make_model(toy_registry, "joint-unit", seed=31)
@@ -335,7 +334,7 @@ class TestPosterior:
             mix = sum(pu[u] * 0.5 * 10.0 ** -abs(t - mu[u]) / (y * LN10) for u in allowed)
             scores.append(prior[toy_registry.dimension_index(d)] * mix)
         expected = np.array(scores) / sum(scores)
-        assert np.allclose(model.posterior_dim(h, y), expected, atol=1e-12)
+        assert np.allclose(model.posterior_dims(h[None], [y])[0], expected, atol=1e-12)
 
     @pytest.mark.parametrize("variant", ["dim-number", "joint-unit"])
     def test_batched_posterior_matches_scalar_loop(self, toy_registry, variant):
@@ -344,13 +343,14 @@ class TestPosterior:
         ys = 10.0 ** np.linspace(-3.0, 5.0, 9)
         batch = model.posterior_dims(H, ys)
         for h, y, row in zip(H, ys, batch):
-            assert np.allclose(row, model.posterior_dim(h, y), atol=1e-12)
+            assert np.allclose(row, model.posterior_dims(h[None], [y])[0], atol=1e-12)
 
     def test_missing_head(self, toy_registry):
         with pytest.raises(MissingHead):
-            make_model(toy_registry, "dim").posterior_dim(rand_h(), 1.0)
+            make_model(toy_registry, "dim").posterior_dims(rand_h()[None], [1.0])
+        model = make_model(toy_registry, "dim-number")
         with pytest.raises(NonPositiveNumber):
-            make_model(toy_registry, "dim-number").posterior_dim(rand_h(), -1.0)
+            model.posterior_dims(rand_h()[None], [-1.0])
 
 
 class TestConditionalNumber:
@@ -446,11 +446,11 @@ class TestPredictNumberPaths:
                 toy_registry, variant, seed=47, mixture_number_prediction=mixture
             )
             batch = model.predict_number_batch(H)
-            single = np.array([model.predict_number(H[i]) for i in range(len(H))])
+            single = np.array([model.predict_number_batch(h[None])[0] for h in H])
             assert np.allclose(batch, single, rtol=1e-9), (variant, mixture)
             if variant == "latent-dim" or mixture:
                 medians = model.mixture_median_locations(H)
-                one_by_one = [model.mixture_median_location(h) for h in H]
+                one_by_one = [model.mixture_median_locations(h[None])[0] for h in H]
                 assert np.allclose(medians, one_by_one, atol=1e-9), variant
 
     def test_mixture_median_single_component(self, one_dim_registry):
@@ -460,7 +460,7 @@ class TestPredictNumberPaths:
         )
         h = rand_h(21)
         mu = float(model.number_locations(h)[0])
-        assert model.mixture_median_location(h) == pytest.approx(mu, abs=1e-9)
+        assert model.mixture_median_locations(h[None])[0] == pytest.approx(mu, abs=1e-9)
 
     def test_mixture_median_symmetric_two_component(self, toy_registry):
         from measured.units import parse_registry
@@ -477,7 +477,8 @@ class TestPredictNumberPaths:
         model.params["b_D"][:] = 0.0
         model.params["W_Y"][:] = 0.0
         model.params["b_Y"][:] = [1.0, 5.0]
-        assert model.mixture_median_location(rand_h(22)) == pytest.approx(3.0, abs=1e-9)
+        median = model.mixture_median_locations(rand_h(22)[None])[0]
+        assert median == pytest.approx(3.0, abs=1e-9)
 
     def test_mixture_flag_switches_joint_readout(self, toy_registry):
         plain = make_model(toy_registry, "joint", seed=53)
@@ -486,8 +487,8 @@ class TestPredictNumberPaths:
         )
         mixed.params = {k: v.copy() for k, v in plain.params.items()}
         h = rand_h(23)
-        argmax_value = plain.predict_number(h)
-        mixture_value = mixed.predict_number(h)
+        argmax_value = plain.predict_number_batch(h[None])[0]
+        mixture_value = mixed.predict_number_batch(h[None])[0]
         di = int(np.argmax(plain.dim_distribution(h)))
         assert argmax_value == pytest.approx(
             10.0 ** float(plain.number_locations(h)[di])
@@ -547,6 +548,41 @@ class TestCheckpoint:
         with open(path, "wb") as f:
             np.savez(f, **arrays)
         with pytest.raises(ValueError, match="v1 fingerprinted the registry file's text"):
+            load_model(path, toy_registry)
+
+    @staticmethod
+    def rewrite_heads(path, edit):
+        """Apply ``edit(heads, arrays)`` to a saved checkpoint's heads and arrays."""
+        with np.load(path) as z:
+            arrays = dict(z)
+        meta = json.loads(str(arrays["__meta__"][()]))
+        edit(meta["heads"], arrays)
+        arrays["__meta__"] = np.array(json.dumps(meta))
+        with open(path, "wb") as f:
+            np.savez(f, **arrays)
+
+    def test_checkpoint_missing_a_head_refused(self, toy_registry, tmp_path):
+        path = tmp_path / "model.npz"
+        save_model(make_model(toy_registry, "joint", seed=89), path)
+
+        def drop_unit_head(heads, arrays):
+            heads.remove("W_U")
+            del arrays["head.W_U"]
+
+        self.rewrite_heads(path, drop_unit_head)
+        with pytest.raises(ValueError, match=": W_U$"):
+            load_model(path, toy_registry)
+
+    def test_checkpoint_with_a_foreign_head_refused(self, toy_registry, tmp_path):
+        path = tmp_path / "model.npz"
+        save_model(make_model(toy_registry, "dim", seed=97), path)
+
+        def add_number_head(heads, arrays):
+            heads.append("W_Y")
+            arrays["head.W_Y"] = np.zeros((M, len(toy_registry.dimensions)))
+
+        self.rewrite_heads(path, add_number_head)
+        with pytest.raises(ValueError, match=": W_Y$"):
             load_model(path, toy_registry)
 
     def test_meta_is_pinned(self, toy_registry, tmp_path):
