@@ -382,7 +382,8 @@ def _write_csv_tables(doc: dict, directory: Path) -> None:
 def cmd_predict(args) -> int:
     registry = _load_registry(args)
     model = load_model(args.checkpoint, registry)
-    with _open_out(args.out) as f, open(args.input, encoding="utf-8") as lines:
+    texts = []
+    with open(args.input, encoding="utf-8") as lines:
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line:
@@ -395,19 +396,25 @@ def cmd_predict(args) -> int:
                     raise ValueError(f"{args.input}:{lineno}: {err}") from None
                 if not isinstance(text, str):
                     raise ValueError(f'{args.input}:{lineno}: no "text" string')
-            pred = model.predict(model.encode(text))
-            record = {
-                "text": text,
-                "dimension": pred.dimension.name,
-                "unit": pred.unit.name,
-                "number": pred.surface_number,
-                "canonical_number": pred.canonical_number,
-                "dim_probs": {
-                    d.name: float(p)
-                    for d, p in zip(registry.dimensions, pred.dim_probs)
-                },
-            }
-            f.write(json.dumps(record, ensure_ascii=False) + "\n")
+            texts.append(text)
+    # --out is opened only once every line has been read and predicted, so a
+    # failed run leaves no file, or the previous one as it was
+    out_lines = []
+    for text in texts:
+        pred = model.predict(model.encode(text))
+        record = {
+            "text": text,
+            "dimension": pred.dimension.name,
+            "unit": pred.unit.name,
+            "number": pred.surface_number,
+            "canonical_number": pred.canonical_number,
+            "dim_probs": {
+                d.name: float(p) for d, p in zip(registry.dimensions, pred.dim_probs)
+            },
+        }
+        out_lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+    with _open_out(args.out) as f:
+        f.writelines(out_lines)
     return 0
 
 

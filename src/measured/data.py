@@ -7,8 +7,9 @@ The on-disk interchange format is JSONL with one record per line::
 Ingestion resolves the unit against a registry, canonicalizes the number,
 and enforces the corpus invariants (positive number, exactly one of each
 mask token, at most 64 tokens).  Ingested records gain ``"dimension"`` and
-``"canonical_number"`` fields.  Records that violate an invariant are
-dropped and counted by reason, never fatal.
+``"canonical_number"`` fields.  Parsed records that violate an invariant
+are dropped and counted by reason, never fatal; a line that is not JSON
+stops the read with an error naming its file line.
 """
 
 from __future__ import annotations
@@ -257,12 +258,18 @@ def example_to_record(example: MeasurementExample) -> dict:
 
 
 def read_jsonl(path) -> Iterable[dict]:
-    """Yield one parsed object per non-empty line."""
+    """Yield one parsed object per non-empty line.
+
+    A line that is not JSON raises ValueError as ``path:lineno: reason``.
+    """
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if line:
-                yield json.loads(line)
+                try:
+                    yield json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise ValueError(f"{path}:{lineno}: {err}") from None
 
 
 def write_jsonl(path, records: Iterable[dict]) -> int:

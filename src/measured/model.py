@@ -31,10 +31,10 @@ reads the record and never branches on a variant's name.
 
 The loss exists once, batched over the rows of an encoded batch ``H``:
 :func:`_forward_backward` sums the terms of the variant's factors and
-returns their analytic gradients.  The per-example losses (``joint_nll``,
-``number_nll``, ``latdim_nll``) run it on ``h[None]``.  The number and
-posterior read-outs (``predict_number_batch``, ``mixture_median_locations``,
-``posterior_dims``) exist only batched: one row is ``H = h[None]``.
+returns their analytic gradients; one example's loss is that function on
+``H = h[None]``.  The number and posterior read-outs
+(``predict_number_batch``, ``mixture_median_locations``, ``posterior_dims``)
+exist only batched too.
 
 All losses and locations use base-10 logarithms throughout, so a loss of 1
 means "off by one decade".  Inference methods are pure given parameters and
@@ -52,7 +52,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from measured.data import MeasurementExample, NonPositiveNumber
+from measured.data import NonPositiveNumber
 from measured.encoding import EncoderConfig, HashedNgramEncoder
 from measured.seeding import stream_rng
 from measured.units import Dimension, Unit, UnitRegistry, convert
@@ -278,25 +278,6 @@ class MeasurementModel:
             return np.zeros_like(dim_index)
         return unit_index if kind == "per-unit" else dim_index
 
-    def _given_indices(
-        self, dimension: Dimension | str | None, unit: Unit | str | None
-    ) -> tuple[int, int]:
-        """Indices of a caller-given dimension and unit, 0 for one not given.
-
-        Raises ValueError when the number column conditions on the one left
-        out.
-        """
-        kind = self.spec.record.number
-        if kind == "per-unit" and unit is None:
-            raise ValueError(f"variant {self.spec.variant!r} conditions on a unit")
-        if kind in ("per-dim", "mixture") and dimension is None:
-            raise ValueError(
-                f"variant {self.spec.variant!r} conditions on a dimension"
-            )
-        di = 0 if dimension is None else self.registry.dimension_index(dimension)
-        ui = 0 if unit is None else self.registry.unit_index(unit)
-        return di, ui
-
     def _top_columns(self, H: np.ndarray) -> np.ndarray:
         """Number-head column of each row's own top dimension and unit."""
         kind = self.spec.record.number
@@ -314,50 +295,6 @@ class MeasurementModel:
         return kind == "mixture" or (
             kind == "per-dim" and self.spec.mixture_number_prediction
         )
-
-    # -- per-example losses (the batched loss on one row) -----------------------
-
-    def number_nll(
-        self,
-        h: np.ndarray,
-        canonical_number: float,
-        *,
-        dimension: Dimension | str | None = None,
-        unit: Unit | str | None = None,
-        include_normalization: bool = False,
-    ) -> float:
-        """Number loss ``|log10 y - mu|`` for the conditioning column.
-
-        With ``include_normalization`` the Laplace normalizer and the
-        log-space change-of-variable term are added, giving the full
-        negative log10 density over the canonical value; both extra terms
-        are constant in the parameters, so optimization never needs them.
-        """
-        arrays = _one_row(canonical_number, *self._given_indices(dimension, unit))
-        value, _ = _number_term(self, h[None], arrays, None, False)
-        if include_normalization:
-            value += math.log10(2.0 * LAPLACE_SCALE) + float(arrays.log10_target[0])
-        return value
-
-    def latdim_nll(self, h: np.ndarray, canonical_number: float) -> float:
-        """Marginal number loss ``-log10 sum_d p(d|h) p(y|d,h)``.
-
-        The per-component densities include their normalizers, so the
-        mixture is a proper density over the canonical value; the sum runs
-        through log-sum-exp for stability.
-        """
-        if self.spec.record.number != "mixture":
-            raise MissingHead(
-                f"latdim_nll needs a latent-dimension mixture; variant "
-                f"{self.spec.variant!r} has none"
-            )
-        arrays = _one_row(canonical_number)
-        return _forward_backward(self, h[None], arrays, None, None, False)[0]
-
-    def joint_nll(self, h: np.ndarray, example: MeasurementExample) -> float:
-        """Sum of the variant's loss terms for one example (base-10 logs)."""
-        arrays = batch_arrays(self, [example])
-        return _forward_backward(self, h[None], arrays, None, None, False)[0]
 
     # -- inference -------------------------------------------------------------
 
@@ -394,35 +331,6 @@ class MeasurementModel:
                 )
                 scores[:, di] = log_prior[:, di] + _logsumexp(log_pu + log_dens)
         return _softmax(scores, axis=1)
-
-    def conditional_number(
-        self,
-        h: np.ndarray,
-        condition: str,
-        *,
-        dimension: Dimension | str | None = None,
-        unit: Unit | str | None = None,
-    ) -> float:
-        """Canonical number read from a chosen ("gold") or argmax column.
-
-        ``condition="gold"`` uses the caller-supplied dimension (per-dimension
-        number head) or unit (per-unit head); ``"argmax"`` ignores the
-        arguments and uses the model's own top classes.
-        """
-        if self.spec.record.number not in ("per-dim", "per-unit"):
-            raise MissingHead(
-                "conditional_number needs a number head conditioned on a "
-                f"dimension or unit; variant {self.spec.variant!r} has none"
-            )
-        if condition == "argmax":
-            col = self._top_columns(h[None])[0]
-        elif condition == "gold":
-            col = self._columns_given(*self._given_indices(dimension, unit))
-        else:
-            raise ValueError(f"condition must be 'gold' or 'argmax', got {condition!r}")
-        return 10.0 ** float(self.number_locations(h)[col])
-
-    # -- batched inference (H has one row per example) ----------------------------
 
     def argmax_dimension_indices(self, H: np.ndarray) -> np.ndarray:
         return np.argmax(self.dim_logits(H), axis=1)
@@ -520,17 +428,6 @@ def batch_arrays(model: MeasurementModel, examples) -> BatchArrays:
         log10_target=np.array(
             [math.log10(ex.canonical_number) for ex in examples]
         ),
-    )
-
-
-def _one_row(canonical_number: float, dim_index: int = 0, unit_index: int = 0):
-    """:class:`BatchArrays` of a single row, for the per-example losses."""
-    if not canonical_number > 0:
-        raise NonPositiveNumber(f"canonical number must be > 0, got {canonical_number}")
-    return BatchArrays(
-        np.array([dim_index]),
-        np.array([unit_index]),
-        np.array([math.log10(canonical_number)]),
     )
 
 

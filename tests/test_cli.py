@@ -115,6 +115,19 @@ class TestSynthIngestStats:
         assert kept[0]["dimension"] == "length"
         assert kept[0]["canonical_number"] == 2000.0
 
+    @pytest.mark.parametrize("command", ["stats", "ingest"])
+    def test_line_that_is_not_json_is_named(self, command, tmp_path, capsys):
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text(
+            '{"text": "a [#NUM] [#UNIT] b", "number": 2.0, "unit": "km"}\n'
+            '{"text": "a [#NUM\n'
+        )
+        out = tmp_path / "out"
+        code, _, err = run([command, "--data", str(raw), "--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith(f"measured: error: {raw}:2: Unterminated string")
+        assert not out.exists()
+
     def test_stats_document(self, workdir, tmp_path, capsys):
         out = tmp_path / "stats.json"
         code, _, _ = run(
@@ -456,17 +469,19 @@ class TestPredictExport:
         bad_line = bad if isinstance(bad, str) else json.dumps(bad)
         sentences.write_text(f"The tower stands [#NUM] [#UNIT] tall .\n\n{bad_line}\n")
         out = tmp_path / "pred.jsonl"
-        code, _, err = run(
-            [
-                "predict",
-                "--checkpoint", str(workdir / "model.npz"),
-                "--input", str(sentences),
-                "--out", str(out),
-            ],
-            capsys,
-        )
+        argv = [
+            "predict",
+            "--checkpoint", str(workdir / "model.npz"),
+            "--input", str(sentences),
+            "--out", str(out),
+        ]
+        code, _, err = run(argv, capsys)
         assert code == 1
         assert err.startswith(f"measured: error: {sentences}:3: ")
+        assert not out.exists()
+        out.write_bytes(b"earlier run\n")
+        assert run(argv, capsys)[0] == 1
+        assert out.read_bytes() == b"earlier run\n"
 
     def test_export_reports_dropped_records(self, workdir, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"

@@ -50,6 +50,20 @@ def quick_model(registry, corpus, variant, epochs=4):
     return model
 
 
+def gold_column_log_mae(model, examples, given):
+    """log-mae of the number read from each example's gold dimension or unit column."""
+    reg = model.registry
+    pred = []
+    for ex in examples:
+        h = model.encode(ex.masked_text)
+        if given == "dim":
+            col = reg.dimension_index(ex.dimension)
+        else:
+            col = reg.unit_index(ex.unit)
+        pred.append(10.0 ** model.number_locations(h)[col])
+    return log_mae([ex.canonical_number for ex in examples], pred)
+
+
 class TestMacroF1:
     def test_perfect(self):
         assert macro_f1(["a", "b", "a"], ["a", "b", "a"], ["a", "b"]) == 1.0
@@ -279,7 +293,9 @@ class TestEvaluate:
         num = doc["probes"]["num"]
         assert "log_mae" in num and "group_log_mae" in num
         assert set(num["group_log_mae"]) == {"dimension", "unit"}
-        assert "num-given-gold-unit" in doc["probes"]
+        assert doc["probes"]["num-given-gold-unit"]["log_mae"] == pytest.approx(
+            gold_column_log_mae(model, corpus.test, "unit"), rel=1e-12
+        )
         assert doc["probes"]["unit-given-predicted-dim"]["extension"] is True
 
     def test_baselines_always_included(self, registry, corpus):
@@ -324,4 +340,6 @@ class TestEvaluate:
     def test_gold_conditioning_included_for_dim_number(self, registry, corpus):
         model = quick_model(registry, corpus, "dim-number", epochs=2)
         report = evaluate(model, corpus, probes=("num",))
-        assert "num-given-gold-dim" in report.probes
+        assert report.probes["num-given-gold-dim"]["log_mae"] == pytest.approx(
+            gold_column_log_mae(model, corpus.test, "dim"), rel=1e-12
+        )

@@ -8,10 +8,13 @@ from measured.data import MeasurementExample, NonPositiveNumber
 from measured.encoding import EncoderConfig, HashedNgramEncoder
 from measured.model import (
     LN10,
+    BatchArrays,
     MeasurementModel,
     MissingHead,
     ModelSpec,
     RegistryMismatch,
+    _forward_backward,
+    batch_arrays,
     load_model,
     save_model,
 )
@@ -30,6 +33,20 @@ def make_model(registry, variant, seed=0, **spec_kwargs):
 
 def rand_h(seed=0):
     return np.random.default_rng(seed).normal(size=M)
+
+
+def row_loss(model, h, arrays):
+    """The batched training loss on the single row ``h``."""
+    return _forward_backward(model, h[None], arrays, None, None, False)[0]
+
+
+def number_row(y):
+    """One row's arrays for a number column that conditions on no class."""
+    return BatchArrays(np.array([0]), np.array([0]), np.array([math.log10(y)]))
+
+
+def example_loss(model, h, ex):
+    return row_loss(model, h, batch_arrays(model, [ex]))
 
 
 def make_example(registry, text, number, unit_token):
@@ -128,14 +145,14 @@ class TestNumberNll:
         model = make_model(toy_registry, "number")
         h = rand_h(3)
         mu = float(model.number_locations(h)[0])
-        value = model.number_nll(h, 10.0 ** mu)
+        value = row_loss(model, h, number_row(10.0 ** mu))
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_one_decade_off(self, toy_registry):
         model = make_model(toy_registry, "number")
         model.params["W_Y"][:] = 0.0
         model.params["b_Y"][:] = 2.0
-        assert model.number_nll(rand_h(), 1000.0) == pytest.approx(1.0)
+        assert row_loss(model, rand_h(), number_row(1000.0)) == pytest.approx(1.0)
 
     def test_gradient_sign_via_finite_differences(self, toy_registry):
         model = make_model(toy_registry, "number")
@@ -145,9 +162,9 @@ class TestNumberNll:
         b = model.params["b_Y"]
         base = float(b[0])
         b[0] = base + eps
-        up = model.number_nll(h, y)
+        up = row_loss(model, h, number_row(y))
         b[0] = base - eps
-        down = model.number_nll(h, y)
+        down = row_loss(model, h, number_row(y))
         b[0] = base
         fd = (up - down) / (2 * eps)
         mu = float(model.number_locations(h)[0])
@@ -160,10 +177,10 @@ class TestNumberNll:
         t = math.log10(y)
         model.params["W_Y"][:] = 0.0
         model.params["b_Y"][0] = t
-        best = model.number_nll(h, y)
+        best = row_loss(model, h, number_row(y))
         for delta in (-0.5, -0.01, 0.01, 0.5):
             model.params["b_Y"][0] = t + delta
-            assert model.number_nll(h, y) > best
+            assert row_loss(model, h, number_row(y)) > best
 
     def test_argmin_location_is_base_invariant(self):
         # L1 regression of log(y): natural-log and log10 parameterizations
@@ -173,19 +190,6 @@ class TestNumberNll:
         mu_nat = math.log(y)
         assert 10.0 ** mu10 == pytest.approx(math.e ** mu_nat, rel=1e-12)
 
-    def test_nonpositive_number(self, toy_registry):
-        model = make_model(toy_registry, "number")
-        with pytest.raises(NonPositiveNumber):
-            model.number_nll(rand_h(), 0.0)
-
-    def test_normalization_terms(self, toy_registry):
-        model = make_model(toy_registry, "number")
-        h = rand_h(6)
-        y = 55.0
-        bare = model.number_nll(h, y)
-        full = model.number_nll(h, y, include_normalization=True)
-        assert full == pytest.approx(bare + math.log10(2.0) + math.log10(y))
-
 
 class TestJointNll:
     def test_dim_only_loss_vanishes_when_confident(self, toy_registry):
@@ -194,21 +198,21 @@ class TestJointNll:
         di = toy_registry.dimension_index("time")
         model.params["b_D"][di] = 60.0
         ex = make_example(toy_registry, "t [#NUM] [#UNIT]", 5.0, "s")
-        assert model.joint_nll(rand_h(), ex) == pytest.approx(0.0, abs=1e-12)
+        assert example_loss(model, rand_h(), ex) == pytest.approx(0.0, abs=1e-12)
 
     def test_joint_decomposes_into_head_terms(self, toy_registry):
         model = make_model(toy_registry, "joint", seed=7)
         ex = make_example(toy_registry, "x [#NUM] [#UNIT]", 3.0, "km")
         h = rand_h(7)
         di = toy_registry.dimension_index(ex.dimension)
-        total = model.joint_nll(h, ex)
+        total = example_loss(model, h, ex)
         ce_d = -math.log10(model.dim_distribution(h)[di])
         ce_u = -math.log10(
             model.unit_distribution(h, ex.dimension)[
                 toy_registry.unit_index(ex.unit)
             ]
         )
-        nll_y = model.number_nll(h, ex.canonical_number, dimension=ex.dimension)
+        nll_y = abs(math.log10(ex.canonical_number) - model.number_locations(h)[di])
         assert total == pytest.approx(ce_d + ce_u + nll_y, rel=1e-12)
 
     def test_against_independent_per_head_oracle(self, toy_registry):
@@ -225,7 +229,7 @@ class TestJointNll:
         ce_u = -(zu[pos] - math.log(np.exp(zu).sum())) / LN10
         mu = (p["W_Y"].T @ h + p["b_Y"])[toy_registry.unit_index("mph")]
         nll_y = abs(math.log10(ex.canonical_number) - mu)
-        assert model.joint_nll(h, ex) == pytest.approx(ce_d + ce_u + nll_y, rel=1e-12)
+        assert example_loss(model, h, ex) == pytest.approx(ce_d + ce_u + nll_y, rel=1e-12)
 
 
 class TestLatentMixture:
@@ -238,7 +242,7 @@ class TestLatentMixture:
         y = 7.5
         mu = float(model.number_locations(h)[0])
         expected = abs(math.log10(y) - mu) + math.log10(2.0) + math.log10(y)
-        assert model.latdim_nll(h, y) == pytest.approx(expected, rel=1e-12)
+        assert row_loss(model, h, number_row(y)) == pytest.approx(expected, rel=1e-12)
 
     def test_equal_components_collapse(self, toy_registry):
         model = make_model(toy_registry, "latent-dim")
@@ -247,7 +251,7 @@ class TestLatentMixture:
         h = rand_h(10)
         y = 80.0
         expected = abs(math.log10(y) - 1.5) + math.log10(2.0) + math.log10(y)
-        assert model.latdim_nll(h, y) == pytest.approx(expected, rel=1e-12)
+        assert row_loss(model, h, number_row(y)) == pytest.approx(expected, rel=1e-12)
 
     def test_two_component_case_against_naive_sum(self, toy_registry):
         """Direct probability-domain sum at well-scaled values."""
@@ -262,7 +266,8 @@ class TestLatentMixture:
             * 10.0 ** -(abs(t - float(mu[d])) + math.log10(2.0) + t)
             for d in range(len(prior))
         )
-        assert model.latdim_nll(h, y) == pytest.approx(-math.log10(mixture), rel=1e-10)
+        value = row_loss(model, h, number_row(y))
+        assert value == pytest.approx(-math.log10(mixture), rel=1e-10)
 
     def test_logsumexp_sandwich_bounds(self, toy_registry):
         model = make_model(toy_registry, "latent-dim", seed=17)
@@ -279,13 +284,9 @@ class TestLatentMixture:
             per = -np.log10(prior) + (
                 np.abs(t - mu) + math.log10(2.0) + t
             )
-            value = model.latdim_nll(h, y)
+            value = row_loss(model, h, number_row(y))
             assert value <= per.min() + 1e-9
             assert value >= per.min() - math.log10(n_dims) - 1e-9
-
-    def test_requires_latent_variant(self, toy_registry):
-        with pytest.raises(MissingHead):
-            make_model(toy_registry, "joint").latdim_nll(rand_h(), 2.0)
 
 
 class TestPosterior:
@@ -337,7 +338,7 @@ class TestPosterior:
         assert np.allclose(model.posterior_dims(h[None], [y])[0], expected, atol=1e-12)
 
     @pytest.mark.parametrize("variant", ["dim-number", "joint-unit"])
-    def test_batched_posterior_matches_scalar_loop(self, toy_registry, variant):
+    def test_batched_posterior_matches_one_row_loop(self, toy_registry, variant):
         model = make_model(toy_registry, variant, seed=71)
         H = np.random.default_rng(4).normal(size=(9, M))
         ys = 10.0 ** np.linspace(-3.0, 5.0, 9)
@@ -351,34 +352,6 @@ class TestPosterior:
         model = make_model(toy_registry, "dim-number")
         with pytest.raises(NonPositiveNumber):
             model.posterior_dims(rand_h()[None], [-1.0])
-
-
-class TestConditionalNumber:
-    def test_column_lookup(self, toy_registry):
-        model = make_model(toy_registry, "dim-number")
-        model.params["W_Y"][:] = 0.0
-        model.params["b_Y"][:] = [2.0, 5.0, 3.0]
-        h = rand_h(16)
-        assert model.conditional_number(h, "gold", dimension="time") == pytest.approx(1e5)
-
-    def test_gold_equals_argmax_when_classes_agree(self, toy_registry):
-        model = make_model(toy_registry, "dim-number", seed=37)
-        h = rand_h(17)
-        top = toy_registry.dimensions[int(np.argmax(model.dim_distribution(h)))]
-        assert model.conditional_number(h, "gold", dimension=top) == pytest.approx(
-            model.conditional_number(h, "argmax")
-        )
-
-    def test_argmax_mode_matches_predict(self, toy_registry):
-        model = make_model(toy_registry, "joint-unit", seed=41)
-        h = rand_h(18)
-        assert model.conditional_number(h, "argmax") == pytest.approx(
-            model.predict(h).canonical_number
-        )
-
-    def test_requires_conditioning_variant(self, toy_registry):
-        with pytest.raises(MissingHead):
-            make_model(toy_registry, "number").conditional_number(rand_h(), "argmax")
 
 
 class TestPredict:

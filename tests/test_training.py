@@ -7,7 +7,14 @@ import pytest
 from measured import encoding, training
 from measured.data import ingest, split
 from measured.encoding import EncoderConfig, HashedNgramEncoder
-from measured.model import LN10, MeasurementModel, ModelSpec, VARIANTS
+from measured.model import (
+    LN10,
+    MeasurementModel,
+    ModelSpec,
+    VARIANTS,
+    _forward_backward,
+    batch_arrays,
+)
 from measured.synth import SynthConfig, generate_records
 from measured.training import (
     AdamWState,
@@ -228,13 +235,19 @@ class TestGradients:
                 )
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
-    def test_batch_loss_is_mean_of_per_example_joint_nll(
-        self, variant, registry, corpus
-    ):
+    def test_batch_loss_is_mean_of_one_row_losses(self, variant, registry, corpus):
         examples = corpus.train[:9]
         model = small_model(registry, variant, seed=9, hidden=7, features=256)
         per_example = [
-            model.joint_nll(model.encode(ex.masked_text), ex) for ex in examples
+            _forward_backward(
+                model,
+                model.encode(ex.masked_text)[None],
+                batch_arrays(model, [ex]),
+                None,
+                None,
+                False,
+            )[0]
+            for ex in examples
         ]
         assert batch_loss(model, examples) == pytest.approx(
             np.mean(per_example), rel=1e-12
