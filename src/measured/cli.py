@@ -304,6 +304,7 @@ def cmd_train(args) -> int:
     first_result = None
     for i in range(args.seeds):
         seed = args.seed + i
+        result = None  # let the previous seed's model go before training the next
         if args.resume:  # a single seed, so train_config.seed is already it
             model = load_model(args.resume, registry)
             _check_resume_options(args, model)

@@ -183,6 +183,18 @@ def _small_page_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype).reshape(shape)
 
 
+class RowGradient(np.ndarray):
+    """A gradient whose ``rows`` (sorted, distinct) are its only nonzero rows.
+
+    Only :meth:`HashedNgramEncoder.projection_gradient` sets ``rows``.  No
+    ``__array_finalize__`` carries it over, so an array derived from one
+    (``-g``, ``g.copy()``, ``g[r]``, ``np.roll(g, 1, axis=0)``) has
+    ``rows is None``.
+    """
+
+    rows: np.ndarray | None = None
+
+
 def featurize(text: str, config: EncoderConfig) -> FeatureVector:
     """Hash n-gram counts into ``feature_dim`` buckets and L2-normalize."""
     return _featurize(text, config, _prefix_states(config), {})
@@ -266,14 +278,15 @@ class HashedNgramEncoder:
 
     def projection_gradient(
         self, X: sparse.csr_matrix, dH: np.ndarray
-    ) -> np.ndarray:
+    ) -> RowGradient:
         """d(loss)/d(W_S) given d(loss)/d(H) for the batch encoded from X.
 
         Only the rows of X's distinct columns are nonzero; they equal
         ``X.T @ dH`` bit for bit, computed on those columns alone (both add
-        into a row in batch-row order).  The result is a view of the
-        encoder's one small-page buffer, which the next call overwrites after
-        re-zeroing the rows this call wrote: train from one thread only.
+        into a row in batch-row order), and the result's ``rows`` lists them
+        (see :class:`RowGradient`).  The result is a view of the encoder's one
+        small-page buffer, which the next call overwrites after re-zeroing
+        the rows this call wrote: train from one thread only.
         """
         if self._grad is None:
             self._grad = _small_page_zeros(self.W_S.shape, self.W_S.dtype)
@@ -282,7 +295,9 @@ class HashedNgramEncoder:
         compact = sparse.csr_matrix((X.data, pos, X.indptr), (X.shape[0], len(cols)))
         self._grad[cols] = compact.T @ dH
         self._grad_rows = cols
-        return self._grad.view()
+        grad = self._grad.view(RowGradient)
+        grad.rows = cols
+        return grad
 
     def trainable_parameters(self) -> dict[str, np.ndarray]:
         return {} if self.frozen else {"W_S": self.W_S}

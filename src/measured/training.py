@@ -13,7 +13,8 @@ The optimizer is AdamW with decoupled weight decay and a linear learning
 rate warmup.  The encoder projection ``W_S`` is updated lazily, as in
 LazyAdam or ``torch.optim.SparseAdam``: a batch touches only the rows of
 its hashed n-gram buckets, and only rows with a nonzero gradient get the
-Adam step, their moments updated and weight decay.  Untouched rows keep
+Adam step, their moments updated and weight decay.  The projection
+gradient names its rows, so the step reads only those.  Untouched rows keep
 their values and moments, so they get no decay and no drift on stale
 momentum; the heads take the dense step.  Early stopping watches the
 variant's validation metric and restores the parameters of the best
@@ -104,6 +105,9 @@ class TrainConfig:
 
 # higher is better only for macro-f1
 _MAXIMIZE = {"macro-f1"}
+# rows per gather-update-scatter block of a lazy step: 128 KB temporaries at
+# M = 256, which stay in cache where whole-batch ones are faulted in fresh
+_ROW_BLOCK = 64
 
 
 def class_weights(counts: np.ndarray) -> np.ndarray:
@@ -141,6 +145,7 @@ class AdamWState:
     only the rows where the gradient is nonzero, so the other rows keep
     their values and moments, with no weight decay and no drift on stale
     momentum.  A touched row gets exactly the dense step's arithmetic.
+    :func:`adamw_step` says where the rows come from.
     """
 
     betas: tuple[float, float] = (0.9, 0.999)
@@ -158,7 +163,15 @@ def adamw_step(
     state: AdamWState,
     lr: float,
 ) -> dict[str, np.ndarray]:
-    """One decoupled-weight-decay Adam update, in place; returns ``params``."""
+    """One decoupled-weight-decay Adam update, in place; returns ``params``.
+
+    A ``row_sparse`` parameter steps the rows of its gradient's ``rows``
+    list (see :class:`measured.encoding.RowGradient`) whose gradient is not
+    all zero, and reads no other row.  A plain array, or one derived from a
+    projection gradient, has no list and is scanned whole for nonzero rows.
+    The rows are stepped ``_ROW_BLOCK`` at a time; every operation is
+    elementwise, so that is bit-identical to one whole-batch update.
+    """
     state.step += 1
     b1, b2 = state.betas
     bc1 = 1.0 - b1 ** state.step
@@ -187,10 +200,16 @@ def adamw_step(
             state.v[name] = zeros(p.shape, p.dtype)
         m, v = state.m[name], state.v[name]
         if name in state.row_sparse:
-            rows = np.flatnonzero(g.any(axis=1))
-            p_rows, m_rows, v_rows = p[rows], m[rows], v[rows]
-            update(p_rows, g[rows], m_rows, v_rows)
-            p[rows], m[rows], v[rows] = p_rows, m_rows, v_rows
+            hint = getattr(g, "rows", None)
+            if hint is None:
+                rows = np.flatnonzero(g.any(axis=1))
+            else:
+                rows = hint[g[hint].any(axis=1)]
+            for start in range(0, len(rows), _ROW_BLOCK):
+                block = rows[start : start + _ROW_BLOCK]
+                p_rows, m_rows, v_rows = p[block], m[block], v[block]
+                update(p_rows, g[block], m_rows, v_rows)
+                p[block], m[block], v[block] = p_rows, m_rows, v_rows
         else:
             update(p, g, m, v)
     return params
@@ -212,6 +231,8 @@ def gradients(
     omitted).  The encoder projection gradient is included unless the
     encoder is frozen; it is a view of the encoder's one gradient buffer,
     which the next call overwrites, so train one encoder from one thread.
+    Its ``rows`` spare :func:`adamw_step` a scan of the whole buffer; an
+    array derived from it has none.
     """
     if X is None:
         X = model.encoder.feature_matrix([ex.masked_text for ex in examples])

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -220,6 +221,42 @@ class TestTrainEval:
             "checkpoint": str(ckpt),
         }
         assert list(read_jsonl(history)) == results[0].history
+
+    def test_seeds_keep_only_the_first_model_alive(
+        self, tmp_path, workdir, capsys, monkeypatch
+    ):
+        """While a seed trains, the only earlier model alive is the first one.
+
+        At the default size each model holds a 512 MB ``W_S``.
+        """
+        from measured import cli
+
+        models, alive = [], []
+        original = cli.experiments.train_variant
+
+        def tracked(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in models))
+            result = original(*args, **kwargs)
+            models.append(weakref.ref(result.model))
+            return result
+
+        monkeypatch.setattr(cli.experiments, "train_variant", tracked)
+        code, _, _ = run(
+            [
+                "train",
+                "--data", str(workdir / "corpus.jsonl"),
+                "--out", str(tmp_path / "m.npz"),
+                "--variant", "dim",
+                "--feature-dim", "512",
+                "--hidden-dim", "8",
+                "--batch-size", "32",
+                "--epochs", "1",
+                "--seeds", "4",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert alive == [0, 1, 1, 1]
 
     def test_checkpoint_written_at_the_given_path(self, tmp_path, workdir, capsys):
         ckpt = tmp_path / "x.ckpt"

@@ -188,6 +188,26 @@ class TestEncoder:
             untouched = np.setdiff1d(np.arange(E), X.indices)
             assert not grad[untouched].any()
 
+    def test_projection_gradient_names_its_rows(self):
+        """Each result's ``rows`` are its batch's distinct columns, sorted;
+        an array derived from it carries no row list."""
+        E, M = 64, 5
+        rng = np.random.default_rng(12)
+        enc = HashedNgramEncoder(EncoderConfig(feature_dim=E, hidden_dim=M), seed=0)
+        batches = [
+            ["alpha beta", "gamma"],
+            ["delta epsilon zeta", "", "alpha"],
+            [""],
+            [],
+            ["beta gamma delta"],
+        ]
+        for texts in batches:
+            X = enc.feature_matrix(texts)
+            grad = enc.projection_gradient(X, rng.normal(size=(len(texts), M)))
+            assert np.array_equal(grad.rows, np.unique(X.indices))
+            derived = [-grad, np.roll(grad, 1, axis=0), grad.copy(), grad[grad.rows]]
+            assert all(d.rows is None for d in derived)
+
     def test_projection_gradient_reuses_one_buffer(self):
         """After the first call, a gradient costs the heap only its batch's rows."""
         E, M = 2**16, 32

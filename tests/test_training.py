@@ -137,26 +137,33 @@ class TestAdamW:
             )
 
     @staticmethod
-    def lazy_and_dense(grads_seq):
+    def run(grads_seq, row_sparse):
+        """Step from a fixed start through ``grads_seq``; ``b`` gets row 0."""
+        rng = np.random.default_rng(8)
+        params = {"W": rng.normal(size=grads_seq[0].shape), "b": rng.normal(size=4)}
+        state = AdamWState(weight_decay=0.05, row_sparse=row_sparse)
+        for g in grads_seq:
+            adamw_step(params, {"W": g, "b": g[0]}, state, lr=1e-2)
+        return params, state
+
+    @classmethod
+    def lazy_and_dense(cls, grads_seq):
         """Run the lazy and the dense step on the same gradients."""
-        runs = []
-        for row_sparse in (frozenset({"W"}), frozenset()):
-            rng = np.random.default_rng(8)
-            params = {"W": rng.normal(size=(6, 4)), "b": rng.normal(size=4)}
-            state = AdamWState(weight_decay=0.05, row_sparse=row_sparse)
-            for g in grads_seq:
-                adamw_step(params, {"W": g, "b": g[0]}, state, lr=1e-2)
-            runs.append((params, state))
-        return runs
+        return [cls.run(grads_seq, rs) for rs in (frozenset({"W"}), frozenset())]
+
+    # one block of rows, and more rows than two blocks of the lazy update
+    SHAPES = [(6, 4), (2 * training._ROW_BLOCK + 6, 4)]
 
     def test_lazy_step_without_zero_rows_is_the_dense_step(self):
-        rng = np.random.default_rng(6)
-        grads_seq = [rng.normal(size=(6, 4)) for _ in range(5)]
-        (lazy, lazy_state), (dense, dense_state) = self.lazy_and_dense(grads_seq)
-        for name in ("W", "b"):
-            assert np.array_equal(lazy[name], dense[name]), name
-            assert np.array_equal(lazy_state.m[name], dense_state.m[name]), name
-            assert np.array_equal(lazy_state.v[name], dense_state.v[name]), name
+        for shape in self.SHAPES:
+            rng = np.random.default_rng(6)
+            grads_seq = [rng.normal(size=shape) for _ in range(5)]
+            (lazy, lazy_state), (dense, dense_state) = self.lazy_and_dense(grads_seq)
+            for name in ("W", "b"):
+                where = (shape, name)
+                assert np.array_equal(lazy[name], dense[name]), where
+                assert np.array_equal(lazy_state.m[name], dense_state.m[name]), where
+                assert np.array_equal(lazy_state.v[name], dense_state.v[name]), where
 
     @pytest.mark.parametrize("huge_page_advice", [True, False])
     def test_lazy_moments_start_as_writable_zeros(
@@ -171,24 +178,65 @@ class TestAdamW:
         assert zeros.sum() == 3.0
 
     def test_lazy_step_leaves_zero_gradient_rows_alone(self):
-        rng = np.random.default_rng(7)
-        warm = [rng.normal(size=(6, 4)) for _ in range(3)]
-        g = rng.normal(size=(6, 4))
-        zero = [1, 4]
-        g[zero] = 0.0
-        g[2, :-1] = 0.0  # a row with one nonzero entry is touched
-        (before, before_state), _ = self.lazy_and_dense(warm)
-        (lazy, lazy_state), (dense, dense_state) = self.lazy_and_dense([*warm, g])
-        touched = [0, 2, 3, 5]
+        for shape in self.SHAPES:
+            n = shape[0]
+            rng = np.random.default_rng(7)
+            warm = [rng.normal(size=shape) for _ in range(3)]
+            g = rng.normal(size=shape)
+            zero = sorted({1, 4, n - 2})  # n - 2 is in the last block
+            g[zero] = 0.0
+            g[2, :-1] = 0.0  # a row with one nonzero entry is touched
+            (before, before_state), _ = self.lazy_and_dense(warm)
+            (lazy, lazy_state), (dense, dense_state) = self.lazy_and_dense([*warm, g])
+            touched = np.setdiff1d(np.arange(n), zero)
+            for ours, theirs, ref in (
+                (lazy["W"], dense["W"], before["W"]),
+                (lazy_state.m["W"], dense_state.m["W"], before_state.m["W"]),
+                (lazy_state.v["W"], dense_state.v["W"], before_state.v["W"]),
+            ):
+                assert np.array_equal(ours[zero], ref[zero]), shape
+                assert np.array_equal(ours[touched], theirs[touched]), shape
+                assert not np.array_equal(ours[zero], theirs[zero]), shape
+            assert np.array_equal(lazy["b"], dense["b"]), shape
+
+    @staticmethod
+    def with_rows(g, rows):
+        hinted = g.view(encoding.RowGradient)
+        hinted.rows = np.asarray(rows)
+        return hinted
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_row_list_steps_as_the_scanned_gradient(self, shape):
+        """A gradient naming its rows steps bit for bit as the same plain
+        array; a named row whose gradient is all zero is left alone."""
+        n = shape[0]
+        rng = np.random.default_rng(9)
+        warm = [rng.normal(size=shape) for _ in range(3)]
+        named = np.arange(0, n, 3)
+        g = np.zeros(shape)
+        g[named] = rng.normal(size=(len(named), shape[1]))
+        g[named[1]] = 0.0
+        lazy = frozenset({"W"})
+        before, before_state = self.run(warm, lazy)
+        scanned, scanned_state = self.run([*warm, g], lazy)
+        hinted, hinted_state = self.run([*warm, self.with_rows(g, named)], lazy)
         for ours, theirs, ref in (
-            (lazy["W"], dense["W"], before["W"]),
-            (lazy_state.m["W"], dense_state.m["W"], before_state.m["W"]),
-            (lazy_state.v["W"], dense_state.v["W"], before_state.v["W"]),
+            (hinted["W"], scanned["W"], before["W"]),
+            (hinted_state.m["W"], scanned_state.m["W"], before_state.m["W"]),
+            (hinted_state.v["W"], scanned_state.v["W"], before_state.v["W"]),
         ):
-            assert np.array_equal(ours[zero], ref[zero])
-            assert np.array_equal(ours[touched], theirs[touched])
-            assert not np.array_equal(ours[zero], theirs[zero])
-        assert np.array_equal(lazy["b"], dense["b"])
+            assert np.array_equal(ours, theirs)
+            assert np.array_equal(ours[named[1]], ref[named[1]])
+            assert not np.array_equal(ours[named[0]], ref[named[0]])
+        assert np.array_equal(hinted["b"], scanned["b"])
+
+    def test_row_list_is_all_the_lazy_step_reads(self):
+        """Rows outside the list are taken to be zero, not scanned."""
+        g = self.with_rows(np.ones((6, 4)), [0, 2])
+        params, state = self.run([g], frozenset({"W"}))
+        start, _ = self.run([np.zeros((6, 4))], frozenset({"W"}))
+        moved = (params["W"] != start["W"]).any(axis=1)
+        assert moved.tolist() == [True, False, True, False, False, False]
 
 
 class TestGradients:
@@ -401,6 +449,23 @@ class TestTrainLoop:
         model = small_model(registry, "joint", seed=17)
         train(model, corpus, self.config(max_epochs=2))
         assert len(refs) > 2
+
+    def test_every_step_names_its_projection_rows(
+        self, registry, corpus, monkeypatch
+    ):
+        """The W_S gradient reaches AdamW with its row list, so no step scans
+        the whole gradient for the rows it touches."""
+        named = []
+        original = training.adamw_step
+
+        def spy(params, grads, state, lr):
+            named.append(getattr(grads["encoder.W_S"], "rows", None) is not None)
+            return original(params, grads, state, lr)
+
+        monkeypatch.setattr(training, "adamw_step", spy)
+        model = small_model(registry, "joint", seed=19)
+        train(model, corpus, self.config(max_epochs=2))
+        assert len(named) > 2 and all(named)
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_training_matches_fresh_projection_gradients(
