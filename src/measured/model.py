@@ -34,7 +34,9 @@ The loss exists once, batched over the rows of an encoded batch ``H``:
 returns their analytic gradients; one example's loss is that function on
 ``H = h[None]``.  The number and posterior read-outs
 (``predict_number_batch``, ``mixture_median_locations``, ``posterior_dims``)
-exist only batched too.
+exist only batched too.  The unit factor p(U|D,S) is computed once, in
+``MeasurementModel._unit_log_probs``; the unit loss, the posterior, the unit
+argmax and ``predict`` all read it.
 
 All losses and locations use base-10 logarithms throughout, so a loss of 1
 means "off by one decade".  Inference methods are pure given parameters and
@@ -128,6 +130,12 @@ class ModelSpec:
             )
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be >= 1")
+        per_dim = [v.name for v in VARIANT_RECORDS.values() if v.number == "per-dim"]
+        if self.mixture_number_prediction and self.variant not in per_dim:
+            raise ValueError(
+                f"mixture_number_prediction applies only to {', '.join(per_dim)}, "
+                f"not {self.variant!r}"
+            )
 
     @property
     def record(self) -> Variant:
@@ -194,10 +202,12 @@ class MeasurementModel:
         self.encoder = encoder
         self.head_seed = seed
 
-        # per-dimension unit index arrays, ascending (declaration order)
-        self._dim_units: list[np.ndarray] = [
-            np.array([registry.unit_index(u) for u in registry.units_of(d)])
-            for d in registry.dimensions
+        # each unit's dimension index, and each dimension's units, ascending
+        self._unit_dim = np.array(
+            [registry.dimension_index(u.dimension) for u in registry.units]
+        )
+        self._dim_units = [
+            np.flatnonzero(self._unit_dim == d) for d in range(len(registry.dimensions))
         ]
 
         m = spec.hidden_dim
@@ -255,17 +265,29 @@ class MeasurementModel:
         """Softmax distribution over the registry's dimensions."""
         return _softmax(self.dim_logits(h))
 
+    def _unit_log_probs(self, Z: np.ndarray, dims=None) -> np.ndarray:
+        """(B, U) log p(u | dim(u), h); -inf off the units of ``dims`` (default all).
+
+        Each dimension's block is normalized as a C-ordered copy:
+        ``Z[:, allowed]`` comes out F-ordered, numpy sums the two layouts in
+        different orders (the last bit differs on the 8-unit length block),
+        and only C order gives a row the same bits in a batch as alone.
+        """
+        L = np.full(Z.shape, -np.inf)
+        for di in range(len(self._dim_units)) if dims is None else dims:
+            allowed = self._dim_units[di]
+            L[:, allowed] = _log_softmax(Z[:, allowed].copy(order="C"), axis=1)
+        return L
+
     def unit_distribution(self, h: np.ndarray, d: Dimension | str) -> np.ndarray:
         """Distribution over all units with support exactly ``units_of(d)``.
 
-        Entries for units outside the dimension are exactly zero.
+        Entries for units outside the dimension are exactly zero.  Only the
+        block of ``d`` is normalized: the other blocks would be thrown away,
+        and computing all of them would more than double a ``predict``.
         """
         di = self.registry.dimension_index(d)
-        z = self.unit_logits(h)
-        allowed = self._dim_units[di]
-        probs = np.zeros_like(z)
-        probs[allowed] = _softmax(z[allowed])
-        return probs
+        return np.exp(self._unit_log_probs(self.unit_logits(h)[None], [di])[0])
 
     # -- number columns ---------------------------------------------------------
 
@@ -291,9 +313,9 @@ class MeasurementModel:
     @property
     def _reads_mixture_median(self) -> bool:
         """Whether the text-only number read-out is the dimension-mixture median."""
-        kind = self.spec.record.number
-        return kind == "mixture" or (
-            kind == "per-dim" and self.spec.mixture_number_prediction
+        return (
+            self.spec.record.number == "mixture"
+            or self.spec.mixture_number_prediction
         )
 
     # -- inference -------------------------------------------------------------
@@ -320,16 +342,12 @@ class MeasurementModel:
         if record.number == "per-dim":
             _, _, scores = _mixture_summands(self, H, t)
         else:
-            log_prior = _log_softmax(self.dim_logits(H), axis=1)
-            Z = self.unit_logits(H)
-            MU = self.number_locations(H)
-            scores = np.empty_like(log_prior)
-            for di, allowed in enumerate(self._dim_units):
-                log_pu = _log_softmax(Z[:, allowed], axis=1)
-                log_dens = -LN10 * (
-                    np.abs(t[:, None] - MU[:, allowed]) / LAPLACE_SCALE
-                )
-                scores[:, di] = log_prior[:, di] + _logsumexp(log_pu + log_dens)
+            log_joint = self._unit_log_probs(self.unit_logits(H)) - LN10 * (
+                np.abs(t[:, None] - self.number_locations(H)) / LAPLACE_SCALE
+            )
+            scores = _log_softmax(self.dim_logits(H), axis=1) + np.stack(
+                [_logsumexp(log_joint[:, units]) for units in self._dim_units], axis=1
+            )
         return _softmax(scores, axis=1)
 
     def argmax_dimension_indices(self, H: np.ndarray) -> np.ndarray:
@@ -338,14 +356,10 @@ class MeasurementModel:
     def argmax_unit_indices_given(
         self, H: np.ndarray, dim_indices: np.ndarray
     ) -> np.ndarray:
-        """Top unit within each row's given dimension."""
-        z = self.unit_logits(H)
-        out = np.empty(len(dim_indices), dtype=np.int64)
-        for di in np.unique(dim_indices):
-            rows = np.nonzero(dim_indices == di)[0]
-            allowed = self._dim_units[int(di)]
-            out[rows] = allowed[np.argmax(z[np.ix_(rows, allowed)], axis=1)]
-        return out
+        """Top unit within each row's given dimension; exact ties go to the
+        lowest index, because the argmax reads logits, not log-probabilities."""
+        given = self._unit_dim == np.asarray(dim_indices)[:, None]
+        return np.argmax(np.where(given, self.unit_logits(H), -np.inf), axis=1)
 
     def mixture_median_locations(self, H: np.ndarray) -> np.ndarray:
         """Median of each row's dimension-mixture number distribution (log10)."""
@@ -452,24 +466,17 @@ def _dim_term(model, H, arrays, weights, want_grads):
 def _unit_term(model, H, arrays, weights, want_grads):
     """Cross-entropy of the gold unit among the units of the gold dimension."""
     B = H.shape[0]
-    zU = model.unit_logits(H)
-    dZU = np.zeros_like(zU) if want_grads else None
+    rows = np.arange(B)
+    L = model._unit_log_probs(model.unit_logits(H))
     w = weights[arrays.unit_index] if weights is not None else np.ones(B)
-    ce = np.empty(B)
-    for di in np.unique(arrays.dim_index):
-        rows_d = np.nonzero(arrays.dim_index == di)[0]
-        allowed = model._dim_units[int(di)]
-        sub = zU[np.ix_(rows_d, allowed)]
-        log_p = _log_softmax(sub, axis=1)
-        pos = np.searchsorted(allowed, arrays.unit_index[rows_d])
-        ce[rows_d] = -log_p[np.arange(len(rows_d)), pos] / LN10
-        if want_grads:
-            dsub = np.exp(log_p)
-            dsub[np.arange(len(rows_d)), pos] -= 1.0
-            dsub *= w[rows_d, None] / LN10
-            dZU[np.ix_(rows_d, allowed)] = dsub
-    loss = float(np.mean(w * ce))
-    return loss, ({"U": dZU} if want_grads else {})
+    loss = float(np.mean(w * (-L[rows, arrays.unit_index] / LN10)))
+    if not want_grads:
+        return loss, {}
+    gold_dim = model._unit_dim == arrays.dim_index[:, None]
+    dZU = np.where(gold_dim, np.exp(L), 0.0)
+    dZU[rows, arrays.unit_index] -= 1.0
+    dZU *= w[:, None] / LN10
+    return loss, {"U": dZU}
 
 
 def _number_term(model, H, arrays, weights, want_grads):

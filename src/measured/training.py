@@ -246,21 +246,12 @@ def gradients(
     return loss, grads
 
 
-def batch_loss(
-    model: MeasurementModel,
-    examples,
-    X=None,
-    *,
-    dim_weights: np.ndarray | None = None,
-    unit_weights: np.ndarray | None = None,
-) -> float:
-    """Mean joint loss only (no gradients)."""
-    if X is None:
-        X = model.encoder.feature_matrix([ex.masked_text for ex in examples])
-    arrays = batch_arrays(model, examples)
+def batch_loss(model: MeasurementModel, examples) -> float:
+    """Mean unweighted joint loss of ``examples`` (no gradients)."""
+    X = model.encoder.feature_matrix([ex.masked_text for ex in examples])
     H = model.encoder.encode_matrix(X)
     loss, _, _ = _forward_backward(
-        model, H, arrays, dim_weights, unit_weights, want_grads=False
+        model, H, batch_arrays(model, examples), None, None, want_grads=False
     )
     return loss
 

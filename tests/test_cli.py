@@ -395,6 +395,29 @@ class TestTrainEval:
         assert err == "measured: error: --seeds must be >= 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("variant", ["joint-unit", "dim", "number", "latent-dim"])
+    def test_mixture_number_rejected_where_it_does_nothing(
+        self, variant, tmp_path, workdir, capsys
+    ):
+        out = tmp_path / "model.npz"
+        code, stdout, err = run(
+            [
+                "train",
+                "--data", str(workdir / "corpus.jsonl"),
+                "--variant", variant,
+                "--mixture-number",
+                "--feature-dim", "256",
+                "--hidden-dim", "4",
+                "--epochs", "1",
+                "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 1 and stdout == ""
+        assert err.startswith("measured: error: mixture_number_prediction")
+        assert "dim-number, joint" in err and repr(variant) in err
+        assert not out.exists()
+
     def test_eval_accepts_registry_with_added_comment(self, workdir, tmp_path, capsys):
         from importlib import resources
 

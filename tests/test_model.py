@@ -60,6 +60,14 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec("sideways", 4)
 
+    def test_mixture_flag_only_for_per_dimension_number_heads(self):
+        for variant in ("dim-number", "joint"):
+            assert ModelSpec(variant, 4, mixture_number_prediction=True)
+        for variant in ("dim", "dim-unit", "number", "joint-unit", "latent-dim"):
+            with pytest.raises(ValueError, match="only to dim-number, joint"):
+                ModelSpec(variant, 4, mixture_number_prediction=True)
+            assert not ModelSpec(variant, 4).mixture_number_prediction
+
     def test_number_head_widths(self, toy_registry):
         assert ModelSpec("joint", 4).number_columns(toy_registry) == 3
         assert ModelSpec("dim-number", 4).number_columns(toy_registry) == 3

@@ -157,6 +157,24 @@ class TestArgmaxUnits:
             if len(allowed) > 1:
                 assert np.array_equal(z[:, allowed[0]], z[:, allowed[-1]])
 
+    def test_logits_one_ulp_apart_keep_their_order(self, registry):
+        # log-probabilities round these two logits to one value; the argmax
+        # must still pick the larger logit, as the loop does
+        model = make_model(registry, "dim-unit", seed=2)
+        allowed = dim_units(registry)[0]
+        first, last = allowed[0], allowed[-1]
+        model.params["W_U"][:, allowed] = 0.0
+        model.params["b_U"][allowed] = -1.0
+        model.params["b_U"][first] = 1e-3
+        model.params["b_U"][last] = np.nextafter(1e-3, 1.0)
+        H = np.random.default_rng(4).normal(size=(5, 12))
+        dims = np.zeros(len(H), dtype=np.int64)
+        L = log_softmax(model.unit_logits(H)[:, allowed].copy())
+        assert np.array_equal(L[:, 0], L[:, -1])
+        got = model.argmax_unit_indices_given(H, dims)
+        assert np.array_equal(got, reference_argmax_units(model, H, dims))
+        assert got.tolist() == [last] * len(H)
+
     def test_interleaved_units_stay_in_their_dimension(self):
         reg = parse_registry(INTERLEAVED_REGISTRY_TEXT)
         model = make_model(reg, "dim-unit", seed=9)
@@ -172,3 +190,23 @@ class TestArgmaxUnits:
         )
         assert got.shape == (0,)
         assert got.dtype == np.int64
+
+
+class TestUnitLogProbs:
+    @pytest.mark.parametrize("which", ["default", "interleaved"])
+    def test_batch_rows_equal_one_row_calls(self, which, registry):
+        reg = registry if which == "default" else parse_registry(
+            INTERLEAVED_REGISTRY_TEXT
+        )
+        model = make_model(reg, "dim-unit", seed=10)
+        H = np.random.default_rng(7).normal(size=(400, 12))
+        Z = model.unit_logits(H)
+        batch = model._unit_log_probs(Z)
+        for i, z in enumerate(Z):
+            assert np.array_equal(batch[i], model._unit_log_probs(z[None])[0]), i
+            di = int(np.argmax(model.dim_logits(H[i])))
+            alone = model._unit_log_probs(z[None], [di])[0]
+            units = reg.units_of(reg.dimensions[di])
+            block = [reg.unit_index(u) for u in units]
+            assert np.array_equal(alone[block], batch[i, block]), i
+            assert np.sum(np.isfinite(alone)) == len(block)
