@@ -356,8 +356,8 @@ class MeasurementModel:
     def argmax_unit_indices_given(
         self, H: np.ndarray, dim_indices: np.ndarray
     ) -> np.ndarray:
-        """Top unit within each row's given dimension; exact ties go to the
-        lowest index, because the argmax reads logits, not log-probabilities."""
+        """Top unit within each row's given dimension.  The argmax reads the
+        logits: rounding to log-probabilities can tie two of them."""
         given = self._unit_dim == np.asarray(dim_indices)[:, None]
         return np.argmax(np.where(given, self.unit_logits(H), -np.inf), axis=1)
 
