@@ -16,6 +16,12 @@ when full; it starts empty whenever an encoder is built.  A miss hashes only
 the n-gram's own bytes, continuing from the FNV-1a state after its kind
 prefix (``w1:``, ``c3:``, ...), which the encoder computes once.
 
+The initial ``W_S`` is a pure function of (seed, shape): one serial
+``uniform`` over the table from the ``encoder-init`` stream.  PCG64 can jump
+ahead, so :func:`init_blocks` draws any row range on its own, and
+:func:`draw_init` draws the table in parallel row ranges, bit for bit the
+same.  A checkpoint therefore stores only the rows that differ from it.
+
 With ``frozen=True`` the projection keeps its random initialization and only
 downstream heads train, which probes whether the fixed representation
 already carries the task signal.
@@ -25,6 +31,8 @@ from __future__ import annotations
 
 import contextlib
 import mmap
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +47,9 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _SEED_MIX = 0x9E3779B97F4A7C15
 # memo entries per encoder; a full memo is cleared, not evicted entry by entry
 _MEMO_CAPACITY = 2**14
+# W_S init rows per uniform() call, and the fewest rows worth a thread
+_DRAW_BLOCK = 64
+_DRAW_MIN_ROWS = 2**14
 
 
 def _fnv1a(data: bytes, h: int) -> int:
@@ -195,6 +206,44 @@ class RowGradient(np.ndarray):
     rows: np.ndarray | None = None
 
 
+def init_blocks(seed: int, shape: tuple[int, int], lo: int, hi: int):
+    """Yield ``(start, block)`` of ``_DRAW_BLOCK`` rows covering rows [lo, hi)
+    of the initial ``W_S``.  numpy draws one 64-bit output per double, so
+    jumping the stream ahead by ``lo * M`` outputs starts at row ``lo``."""
+    bound = 1.0 / np.sqrt(shape[0])
+    bits = stream_rng(seed, "encoder-init").bit_generator
+    bits.advance(lo * shape[1])
+    rng = np.random.Generator(bits)
+    for start in range(lo, hi, _DRAW_BLOCK):
+        rows = min(_DRAW_BLOCK, hi - start)
+        yield start, rng.uniform(-bound, bound, size=(rows, shape[1]))
+
+
+def _over_row_ranges(rows: int, work) -> list:
+    """``work(lo, hi)`` over consecutive ranges covering [0, rows), one thread
+    per CPU this process may use but at least ``_DRAW_MIN_ROWS`` rows each;
+    the results in range order.  A worker's exception re-raises here, after
+    every worker has stopped."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n = max(1, min(cpus, rows // _DRAW_MIN_ROWS))
+    bounds = [rows * i // n for i in range(n + 1)]
+    with ThreadPoolExecutor(n) as pool:
+        futures = [pool.submit(work, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        return [f.result() for f in futures]
+
+
+def draw_init(seed: int, shape: tuple[int, int]) -> np.ndarray:
+    """The initial ``W_S``, drawn by :func:`init_blocks` in parallel row ranges."""
+    W = np.empty(shape)
+
+    def fill(lo, hi):
+        for start, block in init_blocks(seed, shape, lo, hi):
+            W[start : start + len(block)] = block
+
+    _over_row_ranges(shape[0], fill)
+    return W
+
+
 def featurize(text: str, config: EncoderConfig) -> FeatureVector:
     """Hash n-gram counts into ``feature_dim`` buckets and L2-normalize."""
     return _featurize(text, config, _prefix_states(config), {})
@@ -207,8 +256,9 @@ class HashedNgramEncoder:
     when frozen); gradient flow uses :meth:`encode_matrix` plus
     :meth:`projection_gradient` on a batch feature matrix; one text takes
     :meth:`encode`, a gather of its own ``W_S`` rows with no CSR matrix.
-    ``W_S`` is drawn from ``seed`` unless a stored matrix is given, as when
-    loading a checkpoint.
+    ``W_S`` is :func:`draw_init` of ``seed`` unless a stored matrix is given,
+    as when loading a checkpoint; :meth:`moved_rows` names the rows that
+    differ from that init.
 
     :meth:`featurize` hashes through the encoder's own memo (see the module
     docstring): at most ``_MEMO_CAPACITY`` entries, cleared when full, empty
@@ -228,8 +278,7 @@ class HashedNgramEncoder:
         self.seed = seed
         shape = (config.feature_dim, config.hidden_dim)
         if W_S is None:
-            bound = 1.0 / np.sqrt(config.feature_dim)
-            W_S = stream_rng(seed, "encoder-init").uniform(-bound, bound, size=shape)
+            W_S = draw_init(seed, shape)
         elif W_S.shape != shape:
             raise ValueError(f"W_S shape {W_S.shape} != {shape}")
         self.W_S = W_S
@@ -298,6 +347,20 @@ class HashedNgramEncoder:
         grad = self._grad.view(RowGradient)
         grad.rows = cols
         return grad
+
+    def moved_rows(self) -> np.ndarray:
+        """Sorted ids of the ``W_S`` rows whose bits differ from the init,
+        streamed against it block by block: no second table is held."""
+        W = self.W_S.view(np.uint64)
+
+        def moved(lo, hi):
+            found = [np.empty(0, dtype=np.int64)]
+            for start, block in init_blocks(self.seed, W.shape, lo, hi):
+                differ = W[start : start + len(block)] != block.view(np.uint64)
+                found.append(start + np.flatnonzero(differ.any(axis=1)))
+            return np.concatenate(found)
+
+        return np.concatenate(_over_row_ranges(W.shape[0], moved))
 
     def trainable_parameters(self) -> dict[str, np.ndarray]:
         return {} if self.frozen else {"W_S": self.W_S}

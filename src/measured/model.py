@@ -55,13 +55,14 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from measured.data import NonPositiveNumber
-from measured.encoding import EncoderConfig, HashedNgramEncoder
+from measured.encoding import EncoderConfig, HashedNgramEncoder, draw_init, init_blocks
 from measured.seeding import stream_rng
 from measured.units import Dimension, Unit, UnitRegistry, convert
 
 LN10 = math.log(10.0)
 LAPLACE_SCALE = 1.0  # fixed; the number loss is plain L1 in log10 space
-CHECKPOINT_FORMAT = "measured-checkpoint-v2"
+CHECKPOINT_FORMAT = "measured-checkpoint-v3"
+_V2 = "measured-checkpoint-v2"  # read only: its full W_S is used as stored
 
 
 @dataclass(frozen=True)
@@ -398,20 +399,20 @@ class MeasurementModel:
     def predict(self, h: np.ndarray) -> Prediction:
         """Argmax dimension, argmax unit within it, and the located number.
 
-        Ties break toward the lowest class index.  The surface number is
-        the canonical number converted into the predicted unit.
+        Both argmaxes read the logits through the methods the probes use,
+        and ties break toward the lowest class index.  The surface number
+        is the canonical number converted into the predicted unit.
         """
         if not {"D", "U", "Y"} <= set(self.spec.record.heads):
             raise MissingHead(
                 f"full prediction needs dimension, unit, and number heads; "
                 f"variant {self.spec.variant!r} lacks some"
             )
+        di = int(self.argmax_dimension_indices(h[None])[0])
+        ui = int(self.argmax_unit_indices_given(h[None], [di])[0])
+        dimension, unit = self.registry.dimensions[di], self.registry.units[ui]
         dim_probs = self.dim_distribution(h)
-        di = int(np.argmax(dim_probs))
-        dimension = self.registry.dimensions[di]
         unit_probs = self.unit_distribution(h, dimension)
-        ui = int(np.argmax(unit_probs))
-        unit = self.registry.units[ui]
         if self._reads_mixture_median:
             mu = float(self.mixture_median_locations(h[None])[0])
         else:
@@ -566,14 +567,22 @@ def _forward_backward(
 
 
 # -- checkpoints -------------------------------------------------------------------
+#
+# ``W_S`` is a pure function of the encoder seed and shape until training
+# moves it, and lazy AdamW moves only the rows some batch touched.  So
+# ``measured-checkpoint-v3`` stores the seed (in the meta), the moved rows
+# and rows 0 and E-1 of the init as a probe.  v2 stored the full ``W_S``.
 
 def save_model(model: MeasurementModel, path) -> None:
-    """Write a single self-describing checkpoint file (npz) at exactly ``path``.
+    """Write a ``measured-checkpoint-v3`` npz at exactly ``path``.
 
-    The file is written under a temporary name in the same directory and
-    then renamed over ``path``, so a failed write leaves the previous file
-    there intact.  ``np.savez`` appends ``.npz`` to a path without it, so it
-    is handed an open file instead.
+    Besides the JSON meta and the heads it holds ``encoder.rows``, the
+    sorted ids of the rows whose bits differ from the init (none for an
+    untrained or frozen model), ``encoder.W_rows``, their values, and
+    ``encoder.init_probe``.  The file is written under a temporary name in
+    the same directory and then renamed over ``path``, so a failed write
+    leaves the previous file there intact.  ``np.savez`` appends ``.npz`` to
+    a path without it, so it is handed an open file instead.
     """
     enc = model.encoder
     meta = {
@@ -585,7 +594,13 @@ def save_model(model: MeasurementModel, path) -> None:
         "heads": sorted(model.params),
     }
     arrays = {f"head.{k}": v for k, v in model.params.items()}
-    arrays["encoder.W_S"] = enc.W_S
+    rows = enc.moved_rows()
+    arrays["encoder.rows"] = rows
+    arrays["encoder.W_rows"] = enc.W_S[rows]
+    shape = enc.W_S.shape
+    arrays["encoder.init_probe"] = np.vstack([
+        next(init_blocks(enc.seed, shape, r, r + 1))[1] for r in (0, shape[0] - 1)
+    ])
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
@@ -603,17 +618,44 @@ def _from_meta(cls, meta: dict):
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
 
+def _v3_projection(z, config: EncoderConfig, seed: int, path) -> np.ndarray:
+    """``W_S`` of a v3 file: the seed's init with the stored rows put back."""
+    config.validate()
+    E, M = config.feature_dim, config.hidden_dim
+    rows, values = z["encoder.rows"], z["encoder.W_rows"]
+    if rows.ndim != 1 or rows.dtype.kind not in "iu" or not (
+        np.all(rows >= 0) and np.all(rows < E) and np.all(np.diff(rows) > 0)
+    ):
+        raise ValueError(f"{path}: encoder.rows must be increasing ids in [0, {E})")
+    if values.shape != (len(rows), M):
+        raise ValueError(f"{path}: encoder.W_rows is not {len(rows)} x {M}")
+    W = draw_init(seed, (E, M))
+    if not np.array_equal(W[[0, E - 1]], z["encoder.init_probe"]):
+        raise ValueError(
+            f"{path}: numpy {np.__version__} draws another W_S init than the numpy "
+            "that saved this checkpoint (numpy keeps no stream across versions)"
+        )
+    W[rows] = values
+    return W
+
+
 def load_model(path, registry: UnitRegistry) -> MeasurementModel:
-    """Rebuild a model from a checkpoint whose registry and head set must match."""
+    """Rebuild a model from a checkpoint whose registry and head set must match.
+
+    A v3 file's ``W_S`` is drawn from the encoder seed, refused if its rows
+    0 and E-1 differ from the stored probe, and gets the stored rows back.
+    A v2 file's ``encoder.W_S`` is used as stored; a v1 file is refused.
+    """
     with np.load(path, allow_pickle=False) as z:
         meta = json.loads(str(z["__meta__"][()]))
-        if meta.get("format") == "measured-checkpoint-v1":
+        fmt = meta.get("format")
+        if fmt == "measured-checkpoint-v1":
             raise ValueError(
                 f"{path} is a measured-checkpoint-v1 file: v1 fingerprinted the "
                 "registry file's text, comments and layout included, so its "
                 f"registry cannot be checked; retrain to write {CHECKPOINT_FORMAT}"
             )
-        if meta.get("format") != CHECKPOINT_FORMAT:
+        if fmt not in (_V2, CHECKPOINT_FORMAT):
             raise ValueError(f"not a measured checkpoint: {path}")
         if meta["registry_fingerprint"] != registry.fingerprint:
             raise RegistryMismatch(
@@ -621,11 +663,12 @@ def load_model(path, registry: UnitRegistry) -> MeasurementModel:
                 f"{meta['registry_fingerprint'][:12]}..., got "
                 f"{registry.fingerprint[:12]}..."
             )
-        encoder = HashedNgramEncoder(
-            _from_meta(EncoderConfig, meta["encoder"]),
-            seed=meta["encoder"]["seed"],
-            W_S=z["encoder.W_S"],
+        config = _from_meta(EncoderConfig, meta["encoder"])
+        seed = meta["encoder"]["seed"]
+        W_S = (
+            z["encoder.W_S"] if fmt == _V2 else _v3_projection(z, config, seed, path)
         )
+        encoder = HashedNgramEncoder(config, seed=seed, W_S=W_S)
         spec = _from_meta(ModelSpec, meta)
         model = MeasurementModel(spec, registry, encoder, seed=meta["head_seed"])
         differ = sorted(set(meta["heads"]) ^ set(model.params))

@@ -94,3 +94,81 @@ def test_v2_file_loads_as_stored(registry, corpus, tmp_path):
         )
     texts = [ex.masked_text for ex in corpus.test[:5]]
     assert_same_model(model, load_model(path, registry), texts)
+
+
+def stored_arrays(path):
+    with np.load(path) as z:
+        return dict(z)
+
+
+def rewrite(path, **changes):
+    arrays = {**stored_arrays(path), **changes}
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
+
+
+@pytest.mark.parametrize("variant", ["joint", "latent-dim"])
+def test_frozen_model_stores_no_rows(registry, corpus, tmp_path, variant):
+    model = make_model(registry, frozen=True, variant=variant)
+    train(model, corpus, TrainConfig(batch_size=32, max_epochs=1, seed=3))
+    path = tmp_path / "model.npz"
+    save_model(model, path)
+    arrays = stored_arrays(path)
+    assert arrays["encoder.rows"].shape == (0,)
+    assert arrays["encoder.W_rows"].shape == (0, M)
+    assert "encoder.W_S" not in arrays
+    assert json.loads(str(arrays["__meta__"][()]))["format"] == "measured-checkpoint-v3"
+
+
+def test_stored_rows_are_the_moved_rows(registry, corpus, tmp_path):
+    model = make_model(registry)
+    train(model, corpus, TrainConfig(batch_size=32, max_epochs=1, seed=3))
+    path = tmp_path / "model.npz"
+    save_model(model, path)
+    arrays = stored_arrays(path)
+    init = make_model(registry).encoder.W_S
+    moved = np.flatnonzero((model.encoder.W_S != init).any(axis=1))
+    assert 0 < len(moved) < E
+    assert np.array_equal(arrays["encoder.rows"], moved)
+    assert np.array_equal(arrays["encoder.W_rows"], model.encoder.W_S[moved])
+    assert np.array_equal(arrays["encoder.init_probe"], init[[0, E - 1]])
+
+
+def test_probe_disagreement_refused(registry, tmp_path):
+    path = tmp_path / "model.npz"
+    save_model(make_model(registry), path)
+    probe = stored_arrays(path)["encoder.init_probe"]
+    probe[1, 0] = np.nextafter(probe[1, 0], 1.0)
+    rewrite(path, **{"encoder.init_probe": probe})
+    with pytest.raises(ValueError, match=f"numpy {np.__version__}"):
+        load_model(path, registry)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.array([[1, 2]]),
+        np.array([-1, 2]),
+        np.array([1, E]),
+        np.array([2, 1]),
+        np.array([3, 3]),
+        np.array([0.0, 1.0]),
+    ],
+)
+def test_bad_row_ids_refused(registry, tmp_path, rows):
+    path = tmp_path / "model.npz"
+    save_model(make_model(registry), path)
+    values = np.zeros((rows.size, M))
+    rewrite(path, **{"encoder.rows": rows, "encoder.W_rows": values})
+    with pytest.raises(ValueError, match="encoder.rows"):
+        load_model(path, registry)
+
+
+@pytest.mark.parametrize("shape", [(2, M), (3, M + 1), (3,)])
+def test_bad_row_values_refused(registry, tmp_path, shape):
+    path = tmp_path / "model.npz"
+    save_model(make_model(registry), path)
+    rows = np.array([0, 5, E - 1])
+    rewrite(path, **{"encoder.rows": rows, "encoder.W_rows": np.zeros(shape)})
+    with pytest.raises(ValueError, match="encoder.W_rows"):
+        load_model(path, registry)

@@ -60,3 +60,11 @@ def test_compare_names_every_difference(identity, tmp_path, capsys):
     assert identity.main(["--compare", str(paths[0]), str(paths[1])]) == 1
     assert "3 of 4 artifacts differ" in capsys.readouterr().out
     assert identity.main(["--compare", str(paths[0]), str(paths[0])]) == 0
+
+
+def test_reloaded_artifacts_hash_as_trained(identity, tiny):
+    hashes = identity.shape_hashes(tiny)
+    reloaded = [key for key in hashes if "/reloaded/" in key]
+    assert len(reloaded) == 18 + 6  # W_S of every case, predict of the 6 joint ones
+    for key in reloaded:
+        assert hashes[key] == hashes[key.replace("/reloaded/", "/")], key

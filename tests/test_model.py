@@ -579,7 +579,7 @@ class TestCheckpoint:
         with np.load(path) as z:
             meta = str(z["__meta__"][()])
         assert meta == (
-            '{"format": "measured-checkpoint-v2", "variant": "dim-number", '
+            '{"format": "measured-checkpoint-v3", "variant": "dim-number", '
             '"hidden_dim": 6, "mixture_number_prediction": true, "head_seed": 73, '
             '"encoder": {"feature_dim": 128, "hidden_dim": 6, "word_ngrams": [1, 2], '
             '"char_ngrams": [2, 5], "hash_seed": 0, "frozen": true, "seed": 71}, '

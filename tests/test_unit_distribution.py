@@ -210,3 +210,38 @@ class TestUnitLogProbs:
             block = [reg.unit_index(u) for u in units]
             assert np.array_equal(alone[block], batch[i, block]), i
             assert np.sum(np.isfinite(alone)) == len(block)
+
+
+class TestPredictReadsLogits:
+    """``predict`` picks the classes the probes' argmaxes pick, on logits."""
+
+    def test_dimension_logits_one_ulp_apart(self, registry):
+        model = make_model(registry, "joint", seed=12)
+        first, last = 0, len(registry.dimensions) - 1
+        model.params["W_D"][:] = 0.0
+        model.params["b_D"][:] = -1.0
+        model.params["b_D"][first] = 1e-3
+        model.params["b_D"][last] = np.nextafter(1e-3, 1.0)
+        for h in np.random.default_rng(8).normal(size=(5, 12)):
+            pred = model.predict(h)
+            assert pred.dim_probs[first] == pred.dim_probs[last]
+            assert registry.dimension_index(pred.dimension) == last
+            assert model.argmax_dimension_indices(h[None]).tolist() == [last]
+            assert pred.unit.dimension == pred.dimension
+
+    def test_unit_logits_one_ulp_apart(self, registry):
+        model = make_model(registry, "joint", seed=13)
+        allowed = dim_units(registry)[0]
+        first, last = allowed[0], allowed[-1]
+        model.params["W_D"][:] = 0.0
+        model.params["b_D"][:] = 0.0
+        model.params["b_D"][0] = 5.0
+        model.params["W_U"][:, allowed] = 0.0
+        model.params["b_U"][allowed] = -1.0
+        model.params["b_U"][first] = 1e-3
+        model.params["b_U"][last] = np.nextafter(1e-3, 1.0)
+        for h in np.random.default_rng(9).normal(size=(5, 12)):
+            pred = model.predict(h)
+            assert pred.unit_probs[first] == pred.unit_probs[last]
+            assert registry.unit_index(pred.unit) == last
+            assert model.argmax_unit_indices_given(h[None], [0]).tolist() == [last]

@@ -5,7 +5,10 @@ and writes one sha256 per (shape, variant, frozen, mixture flag, artifact)
 to JSON.  The artifacts are each trained head and ``W_S``, the history with
 the best epoch and value, the ``evaluate()`` JSON, and, for variants with
 dimension, unit and number heads, the records ``measured predict`` writes.
-Two trees that hash equal behave bit for bit the same on these cases.
+``reloaded/W_S`` and ``reloaded/predict`` hash the same two artifacts of the
+model after ``save_model`` and ``load_model``, so the checkpoint path is
+covered too.  Two trees that hash equal behave bit for bit the same on these
+cases.
 
 Shapes: ``toy`` trains all seven variants, frozen and unfrozen, plus the
 mixture read-out of ``joint`` and ``dim-number`` (synth n=700 seed 21,
@@ -23,14 +26,16 @@ import argparse
 import hashlib
 import json
 import sys
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from measured import data, evaluation, synth
 from measured.encoding import EncoderConfig
 from measured.experiments import train_variant
-from measured.model import VARIANT_RECORDS, VARIANTS
+from measured.model import VARIANT_RECORDS, VARIANTS, load_model, save_model
 from measured.training import TrainConfig
 from measured.units import default_registry
 
@@ -115,6 +120,8 @@ def shape_hashes(shape: Shape) -> dict[str, str]:
     texts = [ex.masked_text for ex in split.test][: shape.predict_texts]
     train_config = TrainConfig(batch_size=shape.batch_size, max_epochs=shape.epochs)
     out = {}
+    scratch = tempfile.TemporaryDirectory()
+    checkpoint = Path(scratch.name) / "model.npz"
     for variant, frozen, mixture in _cases(shape):
         key = "/".join((
             shape.name, variant, "frozen" if frozen else "trainable",
@@ -138,9 +145,18 @@ def shape_hashes(shape: Shape) -> dict[str, str]:
             "selection_metric": result.selection_metric,
         })
         out[f"{key}/evaluate"] = _sha(evaluation.evaluate(model, split).to_json_dict())
-        if set(VARIANT_RECORDS[variant].heads) == {"D", "U", "Y"}:
+        full = set(VARIANT_RECORDS[variant].heads) == {"D", "U", "Y"}
+        if full:
             out[f"{key}/predict"] = _sha(_predict_records(model, texts))
-        del model, result
+        del result
+        save_model(model, checkpoint)
+        del model  # one W_S at a time
+        model = load_model(checkpoint, registry)
+        out[f"{key}/reloaded/W_S"] = _sha(model.encoder.W_S)
+        if full:
+            out[f"{key}/reloaded/predict"] = _sha(_predict_records(model, texts))
+        del model
+    scratch.cleanup()
     return out
 
 
