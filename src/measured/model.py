@@ -359,8 +359,12 @@ class MeasurementModel:
     ) -> np.ndarray:
         """Top unit within each row's given dimension.  The argmax reads the
         logits: rounding to log-probabilities can tie two of them."""
+        return self._top_units(self.unit_logits(H), dim_indices)
+
+    def _top_units(self, Z: np.ndarray, dim_indices) -> np.ndarray:
+        """Argmax of each row of unit logits ``Z`` within its given dimension."""
         given = self._unit_dim == np.asarray(dim_indices)[:, None]
-        return np.argmax(np.where(given, self.unit_logits(H), -np.inf), axis=1)
+        return np.argmax(np.where(given, Z, -np.inf), axis=1)
 
     def mixture_median_locations(self, H: np.ndarray) -> np.ndarray:
         """Median of each row's dimension-mixture number distribution (log10)."""
@@ -399,20 +403,22 @@ class MeasurementModel:
     def predict(self, h: np.ndarray) -> Prediction:
         """Argmax dimension, argmax unit within it, and the located number.
 
-        Both argmaxes read the logits through the methods the probes use,
-        and ties break toward the lowest class index.  The surface number
-        is the canonical number converted into the predicted unit.
+        Both argmaxes read the logits, as the probes' argmaxes do, and ties
+        break toward the lowest class index.  Each logit vector is computed
+        once.  The surface number is the canonical number converted into
+        the predicted unit.
         """
         if not {"D", "U", "Y"} <= set(self.spec.record.heads):
             raise MissingHead(
                 f"full prediction needs dimension, unit, and number heads; "
                 f"variant {self.spec.variant!r} lacks some"
             )
-        di = int(self.argmax_dimension_indices(h[None])[0])
-        ui = int(self.argmax_unit_indices_given(h[None], [di])[0])
+        z_dim, z_unit = self.dim_logits(h), self.unit_logits(h)[None]
+        di = int(np.argmax(z_dim))
+        ui = int(self._top_units(z_unit, [di])[0])
         dimension, unit = self.registry.dimensions[di], self.registry.units[ui]
-        dim_probs = self.dim_distribution(h)
-        unit_probs = self.unit_distribution(h, dimension)
+        dim_probs = _softmax(z_dim)
+        unit_probs = np.exp(self._unit_log_probs(z_unit, [di])[0])
         if self._reads_mixture_median:
             mu = float(self.mixture_median_locations(h[None])[0])
         else:
