@@ -380,6 +380,21 @@ def _write_csv_tables(doc: dict, directory: Path) -> None:
             write_confusion(f"{probe}_confusion_{dim_name.replace('/', '-')}", sub)
 
 
+def prediction_record(model, text: str) -> dict:
+    """The JSON record ``measured predict`` writes for one text."""
+    pred = model.predict(model.encode(text))
+    return {
+        "text": text,
+        "dimension": pred.dimension.name,
+        "unit": pred.unit.name,
+        "number": pred.surface_number,
+        "canonical_number": pred.canonical_number,
+        "dim_probs": {
+            d.name: float(p) for d, p in zip(model.registry.dimensions, pred.dim_probs)
+        },
+    }
+
+
 def cmd_predict(args) -> int:
     registry = _load_registry(args)
     model = load_model(args.checkpoint, registry)
@@ -400,20 +415,10 @@ def cmd_predict(args) -> int:
             texts.append(text)
     # --out is opened only once every line has been read and predicted, so a
     # failed run leaves no file, or the previous one as it was
-    out_lines = []
-    for text in texts:
-        pred = model.predict(model.encode(text))
-        record = {
-            "text": text,
-            "dimension": pred.dimension.name,
-            "unit": pred.unit.name,
-            "number": pred.surface_number,
-            "canonical_number": pred.canonical_number,
-            "dim_probs": {
-                d.name: float(p) for d, p in zip(registry.dimensions, pred.dim_probs)
-            },
-        }
-        out_lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+    out_lines = [
+        json.dumps(prediction_record(model, text), ensure_ascii=False) + "\n"
+        for text in texts
+    ]
     with _open_out(args.out) as f:
         f.writelines(out_lines)
     return 0

@@ -87,11 +87,6 @@ class FeatureVector:
     values: np.ndarray
     dim: int
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dim)
-        dense[self.indices] = self.values
-        return dense
-
 
 def _token_grams(token: str, config: EncoderConfig) -> list[tuple[str, str]]:
     """A token's own n-grams as ``(kind, text)``: ``w1`` and its character n-grams.

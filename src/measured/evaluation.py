@@ -279,7 +279,7 @@ def evaluate(
     H = model.encoder.encode_matrix(X)
     gold_di = np.array([reg.dimension_index(ex.dimension) for ex in test])
 
-    def dim_section(pred_indices, extra=None) -> dict:
+    def dim_section(pred_indices) -> dict:
         pred_names = [reg.dimensions[int(i)].name for i in pred_indices]
         section = _classification_section(gold_dim_names, pred_names, dim_order)
         hist = manhattan_error_histogram(
@@ -287,28 +287,20 @@ def evaluate(
             [reg.dimensions[int(i)] for i in pred_indices],
         )
         section["manhattan_histogram"] = {str(k): v for k, v in hist.items()}
-        if extra:
-            section.update(extra)
         return section
 
     if "dim" in probes:
-        if record.number == "mixture":  # the dimension is latent
-            latent = model.argmax_dimension_indices(H)
-            cont = build_contingency(latent, gold_di, len(reg.dimensions))
+        pred = model.argmax_dimension_indices(H)
+        if record.latent:  # map latent classes to gold ones before scoring
+            cont = build_contingency(pred, gold_di, len(reg.dimensions))
             mapping = hungarian_map(cont)
-            mapped = mapping[latent]
-            report.probes["dim"] = dim_section(
-                mapped,
-                extra={
-                    "contingency": cont.tolist(),
-                    "latent_mapping": {
-                        str(i): reg.dimensions[int(m)].name
-                        for i, m in enumerate(mapping)
-                    },
-                },
-            )
+            report.probes["dim"] = dim_section(mapping[pred])
+            report.probes["dim"]["contingency"] = cont.tolist()
+            report.probes["dim"]["latent_mapping"] = {
+                str(i): reg.dimensions[int(m)].name for i, m in enumerate(mapping)
+            }
         else:
-            report.probes["dim"] = dim_section(model.argmax_dimension_indices(H))
+            report.probes["dim"] = dim_section(pred)
 
     if "dim-given-y" in probes:
         pred = np.argmax(model.posterior_dims(H, gold_numbers), axis=1)
@@ -352,12 +344,11 @@ def evaluate(
                 "unit": groupwise_log_mae(test, pred, "unit"),
             },
         }
-        given = {"per-dim": "dim", "per-unit": "unit"}.get(record.number)
-        if given:
+        if record.given and not record.latent:
             gold_ui = np.array([reg.unit_index(ex.unit) for ex in test])
             cols = model._columns_given(gold_di, gold_ui)
             gold_cond = 10.0 ** model.number_locations(H)[np.arange(len(test)), cols]
-            report.probes[f"num-given-gold-{given}"] = {
+            report.probes[f"num-given-gold-{record.given}"] = {
                 "log_mae": log_mae(gold_numbers, gold_cond)
             }
 

@@ -24,10 +24,11 @@ Variants (factorization of the joint given text S):
 =============  =====================================================
 
 Each row of the table is one :class:`Variant` record in ``VARIANT_RECORDS``:
-the heads the variant owns, the kind of number column (none, single, per
-dimension, per unit, or per dimension mixed over a latent D), its default
-model-selection metric and the evaluation probes it answers.  The code
-reads the record and never branches on a variant's name.
+the heads the variant owns, the class its number column is given (``given``:
+the dimension, the unit, or nothing for a single column), whether D is
+latent, its default model-selection metric and the evaluation probes it
+answers.  The code reads these fields and never branches on a variant's
+name.
 
 The loss exists once, batched over the rows of an encoded batch ``H``:
 :func:`_forward_backward` sums the terms of the variant's factors and
@@ -70,39 +71,44 @@ class Variant:
     """One factorization of the joint p(D, U, Y | S), as data.
 
     ``heads`` are the linear heads the variant owns, among ``"D"``, ``"U"``
-    and ``"Y"``.  ``number`` is the kind of number column: ``"none"``,
-    ``"single"`` (p(Y|S)), ``"per-dim"`` (p(Y|D,S)), ``"per-unit"``
-    (p(Y|U,S)), or ``"mixture"`` (one column per dimension, summed over a
-    latent D that is never supervised).  ``selection_metric`` is the default
-    early-stopping metric and ``probes`` the evaluation probes it answers.
+    and ``"Y"``.  ``given`` is the class the number head conditions on, one
+    column per class: ``"dim"`` (p(Y|D,S)), ``"unit"`` (p(Y|U,S)), or ``""``
+    for a single column (p(Y|S)) or no number head.  ``latent`` marks a D
+    that is never supervised: the number loss sums over it, and the ``dim``
+    probe maps its classes to the gold ones.  ``selection_metric`` is the
+    default early-stopping metric and ``probes`` the evaluation probes it
+    answers.
     """
 
     name: str
     heads: tuple[str, ...]
-    number: str
     selection_metric: str
     probes: tuple[str, ...]
+    given: str = ""
+    latent: bool = False
+
+    @property
+    def mixture_readout(self) -> bool:
+        """Whether ``mixture_number_prediction`` applies: a supervised D
+        that the number head conditions on."""
+        return self.given == "dim" and not self.latent
 
 
 VARIANT_RECORDS: dict[str, Variant] = {
     v.name: v
-    for v in (
-        Variant("dim", ("D",), "none", "macro-f1", ("dim",)),
-        Variant("dim-unit", ("D", "U"), "none", "macro-f1", ("dim", "unit")),
-        Variant("number", ("Y",), "single", "log-mae", ("num",)),
+    for v in (  # name, heads, selection metric, probes, given, latent
+        Variant("dim", ("D",), "macro-f1", ("dim",)),
+        Variant("dim-unit", ("D", "U"), "macro-f1", ("dim", "unit")),
+        Variant("number", ("Y",), "log-mae", ("num",)),
         Variant(
-            "dim-number", ("D", "Y"), "per-dim", "joint-nll",
-            ("dim", "dim-given-y", "num"),
+            "dim-number", ("D", "Y"), "joint-nll", ("dim", "dim-given-y", "num"), "dim"
         ),
+        Variant("joint", ("D", "U", "Y"), "joint-nll", ("dim", "unit", "num"), "dim"),
         Variant(
-            "joint", ("D", "U", "Y"), "per-dim", "joint-nll",
-            ("dim", "unit", "num"),
+            "joint-unit", ("D", "U", "Y"), "joint-nll",
+            ("dim", "dim-given-y", "unit", "num"), "unit",
         ),
-        Variant(
-            "joint-unit", ("D", "U", "Y"), "per-unit", "joint-nll",
-            ("dim", "dim-given-y", "unit", "num"),
-        ),
-        Variant("latent-dim", ("D", "Y"), "mixture", "joint-nll", ("dim", "num")),
+        Variant("latent-dim", ("D", "Y"), "joint-nll", ("dim", "num"), "dim", True),
     )
 }
 VARIANTS = tuple(VARIANT_RECORDS)
@@ -131,10 +137,10 @@ class ModelSpec:
             )
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be >= 1")
-        per_dim = [v.name for v in VARIANT_RECORDS.values() if v.number == "per-dim"]
-        if self.mixture_number_prediction and self.variant not in per_dim:
+        if self.mixture_number_prediction and not self.record.mixture_readout:
+            mixed = [v.name for v in VARIANT_RECORDS.values() if v.mixture_readout]
             raise ValueError(
-                f"mixture_number_prediction applies only to {', '.join(per_dim)}, "
+                f"mixture_number_prediction applies only to {', '.join(mixed)}, "
                 f"not {self.variant!r}"
             )
 
@@ -145,14 +151,12 @@ class ModelSpec:
 
     def number_columns(self, registry: UnitRegistry) -> int:
         """Width of the number head: |dims|, |units|, 1, or 0 if absent."""
-        kind = self.record.number
-        if kind == "none":
+        record = self.record
+        if "Y" not in record.heads:
             return 0
-        if kind == "single":
+        if not record.given:
             return 1
-        if kind == "per-unit":
-            return len(registry.units)
-        return len(registry.dimensions)
+        return len(registry.units if record.given == "unit" else registry.dimensions)
 
 
 @dataclass(frozen=True)
@@ -164,7 +168,6 @@ class Prediction:
     canonical_number: float
     surface_number: float
     dim_probs: np.ndarray
-    unit_probs: np.ndarray
 
 
 def _softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -262,10 +265,6 @@ class MeasurementModel:
         """Predicted log10 locations, one per number-head column."""
         return h @ self._head("W_Y") + self._head("b_Y")
 
-    def dim_distribution(self, h: np.ndarray) -> np.ndarray:
-        """Softmax distribution over the registry's dimensions."""
-        return _softmax(self.dim_logits(h))
-
     def _unit_log_probs(self, Z: np.ndarray, dims=None) -> np.ndarray:
         """(B, U) log p(u | dim(u), h); -inf off the units of ``dims`` (default all).
 
@@ -280,44 +279,27 @@ class MeasurementModel:
             L[:, allowed] = _log_softmax(Z[:, allowed].copy(order="C"), axis=1)
         return L
 
-    def unit_distribution(self, h: np.ndarray, d: Dimension | str) -> np.ndarray:
-        """Distribution over all units with support exactly ``units_of(d)``.
-
-        Entries for units outside the dimension are exactly zero.  Only the
-        block of ``d`` is normalized: the other blocks would be thrown away,
-        and computing all of them would more than double a ``predict``.
-        """
-        di = self.registry.dimension_index(d)
-        return np.exp(self._unit_log_probs(self.unit_logits(h)[None], [di])[0])
-
     # -- number columns ---------------------------------------------------------
 
     def _columns_given(self, dim_index, unit_index):
         """Number-head column conditioned on the given dimension/unit indices."""
-        kind = self.spec.record.number
-        if kind == "none":
-            raise MissingHead(f"variant {self.spec.variant!r} has no number head")
-        if kind == "single":
+        given = self.spec.record.given
+        if not given:
             return np.zeros_like(dim_index)
-        return unit_index if kind == "per-unit" else dim_index
+        return unit_index if given == "unit" else dim_index
 
     def _top_columns(self, H: np.ndarray) -> np.ndarray:
         """Number-head column of each row's own top dimension and unit."""
-        kind = self.spec.record.number
-        if kind == "single":
+        given = self.spec.record.given
+        if not given:
             return np.zeros(len(H), dtype=np.int64)
         di = self.argmax_dimension_indices(H)
-        if kind == "per-unit":
-            return self.argmax_unit_indices_given(H, di)
-        return di
+        return self.argmax_unit_indices_given(H, di) if given == "unit" else di
 
     @property
     def _reads_mixture_median(self) -> bool:
         """Whether the text-only number read-out is the dimension-mixture median."""
-        return (
-            self.spec.record.number == "mixture"
-            or self.spec.mixture_number_prediction
-        )
+        return self.spec.record.latent or self.spec.mixture_number_prediction
 
     # -- inference -------------------------------------------------------------
 
@@ -340,7 +322,7 @@ class MeasurementModel:
                 "probe, so it has no dimension posterior"
             )
         t = np.log10(y)
-        if record.number == "per-dim":
+        if record.given == "dim":
             _, _, scores = _mixture_summands(self, H, t)
         else:
             log_joint = self._unit_log_probs(self.unit_logits(H)) - LN10 * (
@@ -395,10 +377,9 @@ class MeasurementModel:
         per-dimension one with ``mixture_number_prediction``; otherwise the
         location in the column of the row's own top classes.
         """
-        MU = self.number_locations(H)
         if self._reads_mixture_median:
             return 10.0 ** self.mixture_median_locations(H)
-        return 10.0 ** MU[np.arange(len(H)), self._top_columns(H)]
+        return 10.0 ** self.number_locations(H)[np.arange(len(H)), self._top_columns(H)]
 
     def predict(self, h: np.ndarray) -> Prediction:
         """Argmax dimension, argmax unit within it, and the located number.
@@ -418,7 +399,6 @@ class MeasurementModel:
         ui = int(self._top_units(z_unit, [di])[0])
         dimension, unit = self.registry.dimensions[di], self.registry.units[ui]
         dim_probs = _softmax(z_dim)
-        unit_probs = np.exp(self._unit_log_probs(z_unit, [di])[0])
         if self._reads_mixture_median:
             mu = float(self.mixture_median_locations(h[None])[0])
         else:
@@ -427,7 +407,7 @@ class MeasurementModel:
         surface = convert(
             canonical, self.registry.canonical_unit(dimension), unit
         )
-        return Prediction(dimension, unit, canonical, surface, dim_probs, unit_probs)
+        return Prediction(dimension, unit, canonical, surface, dim_probs)
 
 
 # -- the loss, batched -------------------------------------------------------------
@@ -546,7 +526,7 @@ def _forward_backward(
     (for the encoder projection).
     """
     record = model.spec.record
-    if record.number == "mixture":
+    if record.latent:
         terms = [(_mixture_term, None)]
     else:
         terms = [
@@ -635,8 +615,11 @@ def _v3_projection(z, config: EncoderConfig, seed: int, path) -> np.ndarray:
         raise ValueError(f"{path}: encoder.rows must be increasing ids in [0, {E})")
     if values.shape != (len(rows), M):
         raise ValueError(f"{path}: encoder.W_rows is not {len(rows)} x {M}")
+    probe = z["encoder.init_probe"]
+    if probe.shape != (2, M) or probe.dtype != np.float64:
+        raise ValueError(f"{path}: encoder.init_probe is not 2 x {M} float64")
     W = draw_init(seed, (E, M))
-    if not np.array_equal(W[[0, E - 1]], z["encoder.init_probe"]):
+    if not np.array_equal(W[[0, E - 1]], probe):
         raise ValueError(
             f"{path}: numpy {np.__version__} draws another W_S init than the numpy "
             "that saved this checkpoint (numpy keeps no stream across versions)"

@@ -90,14 +90,20 @@ class TrainConfig:
             raise ValueError(f"unknown selection metric {self.selection_metric!r}")
 
     def resolve(self, frozen: bool, variant: str) -> "TrainConfig":
-        """Fill the automatic fields for a concrete model."""
+        """Fill the automatic fields for a concrete model; a selection metric
+        the variant cannot compute raises ``ValueError`` before training."""
         lr = self.learning_rate if self.learning_rate is not None else (
             1e-3 if frozen else 1e-4
         )
         weighting = self.weighting if self.weighting is not None else (
             "log-frequency" if frozen else "uniform"
         )
-        metric = self.selection_metric or VARIANT_RECORDS[variant].selection_metric
+        record = VARIANT_RECORDS[variant]
+        metric = self.selection_metric or record.selection_metric
+        if metric == "macro-f1" and ("D" not in record.heads or record.latent):
+            raise ValueError(f"variant {variant!r} has no supervised D for macro-f1")
+        if metric == "log-mae" and "Y" not in record.heads:
+            raise ValueError(f"variant {variant!r} has no number head for log-mae")
         return replace(
             self, learning_rate=lr, weighting=weighting, selection_metric=metric
         )

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from measured import model as model_mod
 from measured.data import ingest, split
 from measured.encoding import EncoderConfig, HashedNgramEncoder
 from measured.model import MeasurementModel, ModelSpec, load_model, save_model
@@ -171,4 +172,21 @@ def test_bad_row_values_refused(registry, tmp_path, shape):
     rows = np.array([0, 5, E - 1])
     rewrite(path, **{"encoder.rows": rows, "encoder.W_rows": np.zeros(shape)})
     with pytest.raises(ValueError, match="encoder.W_rows"):
+        load_model(path, registry)
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [np.zeros((1, M)), np.zeros((2, M + 1)), np.zeros(2 * M), np.zeros((2, M), "f4")],
+)
+def test_bad_init_probe_refused_before_the_draw(registry, tmp_path, monkeypatch, probe):
+    path = tmp_path / "model.npz"
+    save_model(make_model(registry), path)
+    rewrite(path, **{"encoder.init_probe": probe})
+
+    def no_draw(seed, shape):
+        raise AssertionError("the init was drawn for a malformed probe")
+
+    monkeypatch.setattr(model_mod, "draw_init", no_draw)
+    with pytest.raises(ValueError, match=f"encoder.init_probe is not 2 x {M} float64"):
         load_model(path, registry)

@@ -35,6 +35,18 @@ def rand_h(seed=0):
     return np.random.default_rng(seed).normal(size=M)
 
 
+def softmax(z):
+    """Plain exp-normalize: the oracle for the model's dimension softmax."""
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+def unit_probs(model, h, d):
+    """p(u | d, h) over every unit, from the masked unit matrix the model reads."""
+    di = model.registry.dimension_index(d)
+    return np.exp(model._unit_log_probs(model.unit_logits(h)[None], [di])[0])
+
+
 def row_loss(model, h, arrays):
     """The batched training loss on the single row ``h``."""
     return _forward_backward(model, h[None], arrays, None, None, False)[0]
@@ -76,6 +88,35 @@ class TestModelSpec:
         assert ModelSpec("number", 4).number_columns(toy_registry) == 1
         assert ModelSpec("dim", 4).number_columns(toy_registry) == 0
 
+    @pytest.mark.parametrize(
+        "variant, width, column, mixture",
+        [
+            ("dim", 0, None, False),
+            ("dim-unit", 0, None, False),
+            ("number", 1, "single", False),
+            ("dim-number", 3, "dim", True),
+            ("joint", 3, "dim", True),
+            ("joint-unit", 7, "unit", False),
+            ("latent-dim", 3, "dim", False),
+        ],
+    )
+    def test_record_fields_per_variant(
+        self, toy_registry, variant, width, column, mixture
+    ):
+        """Each record's number-head width, the column a gold class selects,
+        and whether the mixture read-out flag is accepted."""
+        assert ModelSpec(variant, M).number_columns(toy_registry) == width
+        if column:
+            di, ui = np.array([2, 0, 1]), np.array([6, 3, 4])
+            expected = {"single": [0, 0, 0], "dim": di, "unit": ui}[column]
+            got = make_model(toy_registry, variant)._columns_given(di, ui)
+            assert got.tolist() == list(expected)
+        if mixture:
+            assert ModelSpec(variant, M, mixture_number_prediction=True)
+        else:
+            with pytest.raises(ValueError, match="applies only to dim-number, joint"):
+                ModelSpec(variant, M, mixture_number_prediction=True)
+
     def test_heads_created_per_variant(self, toy_registry):
         assert set(make_model(toy_registry, "dim").params) == {"W_D", "b_D"}
         assert set(make_model(toy_registry, "dim-unit").params) == {
@@ -88,39 +129,43 @@ class TestModelSpec:
 
 
 class TestDimDistribution:
+    """``Prediction.dim_probs``, the softmax ``measured predict`` writes."""
+
     def test_zero_logits_give_uniform(self, toy_registry):
-        model = make_model(toy_registry, "dim")
+        model = make_model(toy_registry, "joint")
         model.params["W_D"][:] = 0.0
-        p = model.dim_distribution(rand_h())
+        p = model.predict(rand_h()).dim_probs
         assert np.allclose(p, 1.0 / 3.0)
 
     def test_shift_invariance(self, toy_registry):
-        model = make_model(toy_registry, "dim")
+        model = make_model(toy_registry, "joint")
         h = rand_h(1)
-        p1 = model.dim_distribution(h)
+        p1 = model.predict(h).dim_probs
         model.params["b_D"] += 7.25
-        p2 = model.dim_distribution(h)
+        p2 = model.predict(h).dim_probs
         assert np.allclose(p1, p2)
 
     def test_matches_direct_exp_normalize(self, toy_registry):
-        model = make_model(toy_registry, "dim", seed=3)
+        model = make_model(toy_registry, "joint", seed=3)
         h = rand_h(2)
         z = model.params["W_D"].T @ h + model.params["b_D"]
         expected = np.exp(z) / np.exp(z).sum()
-        assert np.allclose(model.dim_distribution(h), expected, atol=1e-12)
+        assert np.allclose(model.predict(h).dim_probs, expected, atol=1e-12)
 
     def test_normalization_and_positivity(self, toy_registry):
-        model = make_model(toy_registry, "dim", seed=5)
+        model = make_model(toy_registry, "joint", seed=5)
         for i in range(20):
-            p = model.dim_distribution(rand_h(i))
+            p = model.predict(rand_h(i)).dim_probs
             assert abs(p.sum() - 1.0) < 1e-12
             assert np.all(p > 0)
 
 
 class TestUnitDistribution:
+    """p(U|D,S) as ``MeasurementModel._unit_log_probs`` gives it."""
+
     def test_support_is_dimension_units(self, toy_registry):
         model = make_model(toy_registry, "dim-unit", seed=1)
-        p = model.unit_distribution(rand_h(), "velocity")
+        p = unit_probs(model, rand_h(), "velocity")
         names = [u.name for u in toy_registry.units]
         support = {names[i] for i in np.nonzero(p)[0]}
         assert support == {"m/s", "mph"}
@@ -129,7 +174,7 @@ class TestUnitDistribution:
     def test_masked_entries_exactly_zero(self, toy_registry):
         model = make_model(toy_registry, "dim-unit", seed=2)
         for i, d in enumerate(toy_registry.dimensions):
-            p = model.unit_distribution(rand_h(i), d)
+            p = unit_probs(model, rand_h(i), d)
             allowed = {toy_registry.unit_index(u) for u in toy_registry.units_of(d)}
             for j, prob in enumerate(p):
                 if j not in allowed:
@@ -144,7 +189,7 @@ class TestUnitDistribution:
             "unit kg mass scale=1 offset=0\n"
         )
         model = make_model(reg, "dim-unit")
-        p = model.unit_distribution(rand_h(), "mass")
+        p = unit_probs(model, rand_h(), "mass")
         assert p.tolist() == [1.0]
 
 
@@ -214,11 +259,9 @@ class TestJointNll:
         h = rand_h(7)
         di = toy_registry.dimension_index(ex.dimension)
         total = example_loss(model, h, ex)
-        ce_d = -math.log10(model.dim_distribution(h)[di])
+        ce_d = -math.log10(softmax(model.dim_logits(h))[di])
         ce_u = -math.log10(
-            model.unit_distribution(h, ex.dimension)[
-                toy_registry.unit_index(ex.unit)
-            ]
+            unit_probs(model, h, ex.dimension)[toy_registry.unit_index(ex.unit)]
         )
         nll_y = abs(math.log10(ex.canonical_number) - model.number_locations(h)[di])
         assert total == pytest.approx(ce_d + ce_u + nll_y, rel=1e-12)
@@ -266,7 +309,7 @@ class TestLatentMixture:
         model = make_model(toy_registry, "latent-dim", seed=13)
         h = rand_h(11)
         y = 3.0
-        prior = model.dim_distribution(h)
+        prior = softmax(model.dim_logits(h))
         mu = model.number_locations(h)
         t = math.log10(y)
         mixture = sum(
@@ -286,7 +329,7 @@ class TestLatentMixture:
             model.params["b_Y"][:] = rng.normal(size=n_dims) * 3
             h = rng.normal(size=M)
             y = float(10.0 ** rng.uniform(-3, 3))
-            prior = model.dim_distribution(h)
+            prior = softmax(model.dim_logits(h))
             mu = model.number_locations(h)
             t = math.log10(y)
             per = -np.log10(prior) + (
@@ -303,7 +346,7 @@ class TestPosterior:
         h = rand_h(12)
         y = 5.0
         t = math.log10(y)
-        prior = model.dim_distribution(h)
+        prior = softmax(model.dim_logits(h))
         mu = model.number_locations(h)
         dens = np.array(
             [0.5 * 10.0 ** -abs(t - m) / (y * LN10) for m in mu]
@@ -327,18 +370,18 @@ class TestPosterior:
         model.params["b_Y"][:] = 0.7
         h = rand_h(14)
         posterior = model.posterior_dims(h[None], [12.0])[0]
-        assert np.allclose(posterior, model.dim_distribution(h), atol=1e-12)
+        assert np.allclose(posterior, softmax(model.dim_logits(h)), atol=1e-12)
 
     def test_unit_mixture_posterior_brute_force(self, toy_registry):
         model = make_model(toy_registry, "joint-unit", seed=31)
         h = rand_h(15)
         y = 2.5
         t = math.log10(y)
-        prior = model.dim_distribution(h)
+        prior = softmax(model.dim_logits(h))
         mu = model.number_locations(h)
         scores = []
         for d in toy_registry.dimensions:
-            pu = model.unit_distribution(h, d)
+            pu = unit_probs(model, h, d)
             allowed = [toy_registry.unit_index(u) for u in toy_registry.units_of(d)]
             mix = sum(pu[u] * 0.5 * 10.0 ** -abs(t - mu[u]) / (y * LN10) for u in allowed)
             scores.append(prior[toy_registry.dimension_index(d)] * mix)
@@ -470,7 +513,7 @@ class TestPredictNumberPaths:
         h = rand_h(23)
         argmax_value = plain.predict_number_batch(h[None])[0]
         mixture_value = mixed.predict_number_batch(h[None])[0]
-        di = int(np.argmax(plain.dim_distribution(h)))
+        di = int(np.argmax(plain.dim_logits(h)))
         assert argmax_value == pytest.approx(
             10.0 ** float(plain.number_locations(h)[di])
         )

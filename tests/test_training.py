@@ -243,13 +243,13 @@ class TestGradients:
     def test_softmax_ce_closed_form(self, toy_registry):
         """Dimension CE gradient on logits is (p - onehot), scaled by the
         base-10 log the losses use."""
-        from tests.test_model import make_example
+        from tests.test_model import make_example, softmax
 
         model = small_model(toy_registry, "dim", seed=1)
         ex = make_example(toy_registry, "a [#NUM] [#UNIT] b", 4.0, "m")
         _, grads = gradients(model, [ex])
         h = model.encode(ex.masked_text)
-        p = model.dim_distribution(h)
+        p = softmax(model.dim_logits(h))
         onehot = np.zeros_like(p)
         onehot[toy_registry.dimension_index("length")] = 1.0
         assert np.allclose(grads["b_D"], (p - onehot) / LN10, atol=1e-12)
@@ -535,6 +535,32 @@ class TestTrainLoop:
         assert live.weighting == "uniform"
         assert live.selection_metric == "joint-nll"
         assert TrainConfig().resolve(False, "number").selection_metric == "log-mae"
+
+    @pytest.mark.parametrize(
+        "variant, metric",
+        [
+            ("number", "macro-f1"),
+            ("latent-dim", "macro-f1"),  # latent ids are not gold ids
+            ("dim", "log-mae"),
+            ("dim-unit", "log-mae"),
+        ],
+    )
+    def test_metric_the_variant_cannot_compute_rejected_before_training(
+        self, registry, corpus, variant, metric
+    ):
+        with pytest.raises(ValueError, match=f"{variant!r} has no .* {metric}"):
+            TrainConfig(selection_metric=metric).resolve(False, variant)
+        model = small_model(registry, variant, seed=13)
+        before = {k: v.copy() for k, v in model.trainable_parameters().items()}
+        with pytest.raises(ValueError, match=metric):
+            train(model, corpus, self.config(selection_metric=metric))
+        for name, value in model.trainable_parameters().items():
+            assert np.array_equal(value, before[name]), name
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_every_variant_resolves_its_own_metric_and_joint_nll(self, variant):
+        for metric in (None, "joint-nll"):
+            TrainConfig(selection_metric=metric).resolve(False, variant)
 
     def test_empty_train_split_rejected(self, registry, corpus):
         from measured.data import DatasetSplit

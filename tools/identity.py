@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from measured import data, evaluation, synth
+from measured.cli import prediction_record
 from measured.encoding import EncoderConfig
 from measured.experiments import train_variant
 from measured.model import VARIANT_RECORDS, VARIANTS, load_model, save_model
@@ -40,7 +41,7 @@ from measured.training import TrainConfig
 from measured.units import default_registry
 
 # the variants whose number read-out can be the dimension-mixture median
-MIXTURE_VARIANTS = ("dim-number", "joint")
+MIXTURE_VARIANTS = tuple(v.name for v in VARIANT_RECORDS.values() if v.mixture_readout)
 
 
 @dataclass(frozen=True)
@@ -89,22 +90,8 @@ def _cases(shape: Shape):
 
 
 def _predict_records(model, texts) -> list[dict]:
-    """The fields ``measured predict`` writes for each text."""
-    reg = model.registry
-    records = []
-    for text in texts:
-        pred = model.predict(model.encode(text))
-        records.append({
-            "text": text,
-            "dimension": pred.dimension.name,
-            "unit": pred.unit.name,
-            "number": pred.surface_number,
-            "canonical_number": pred.canonical_number,
-            "dim_probs": {
-                d.name: float(p) for d, p in zip(reg.dimensions, pred.dim_probs)
-            },
-        })
-    return records
+    """The records ``measured predict`` writes for the texts."""
+    return [prediction_record(model, text) for text in texts]
 
 
 def shape_hashes(shape: Shape) -> dict[str, str]:
