@@ -36,8 +36,8 @@ returns their analytic gradients; one example's loss is that function on
 ``H = h[None]``.  The number and posterior read-outs
 (``predict_number_batch``, ``mixture_median_locations``, ``posterior_dims``)
 exist only batched too.  The unit factor p(U|D,S) is computed once, in
-``MeasurementModel._unit_log_probs``; the unit loss, the posterior, the unit
-argmax and ``predict`` all read it.
+``MeasurementModel._unit_log_probs``, which the unit loss and the posterior
+read; the unit argmax of the probes and ``predict`` reads the masked logits.
 
 All losses and locations use base-10 logarithms throughout, so a loss of 1
 means "off by one decade".  Inference methods are pure given parameters and
