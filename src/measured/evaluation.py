@@ -276,7 +276,7 @@ def evaluate(
     gold_numbers = np.array([ex.canonical_number for ex in test])
 
     X = model.encoder.feature_matrix([ex.masked_text for ex in test])
-    H = model.encoder.encode_matrix(X)
+    out = model.outputs(model.encoder.encode_matrix(X))
     gold_di = np.array([reg.dimension_index(ex.dimension) for ex in test])
 
     def dim_section(pred_indices) -> dict:
@@ -290,7 +290,7 @@ def evaluate(
         return section
 
     if "dim" in probes:
-        pred = model.argmax_dimension_indices(H)
+        pred = model.argmax_dimension_indices(out)
         if record.latent:  # map latent classes to gold ones before scoring
             cont = build_contingency(pred, gold_di, len(reg.dimensions))
             mapping = hungarian_map(cont)
@@ -303,11 +303,11 @@ def evaluate(
             report.probes["dim"] = dim_section(pred)
 
     if "dim-given-y" in probes:
-        pred = np.argmax(model.posterior_dims(H, gold_numbers), axis=1)
+        pred = np.argmax(model.posterior_dims(out, gold_numbers), axis=1)
         report.probes["dim-given-y"] = dim_section(pred)
 
     if "unit" in probes:
-        pred_gold_cond = model.argmax_unit_indices_given(H, gold_di)
+        pred_gold_cond = model.argmax_unit_indices_given(out, gold_di)
         pred_names = [reg.units[int(i)].name for i in pred_gold_cond]
         section = _classification_section(gold_unit_names, pred_names, unit_order)
         per_dim = {}
@@ -325,8 +325,8 @@ def evaluate(
         report.probes["unit"] = section
 
         if "D" in record.heads:
-            pred_di = model.argmax_dimension_indices(H)
-            pred_pred_cond = model.argmax_unit_indices_given(H, pred_di)
+            pred_di = model.argmax_dimension_indices(out)
+            pred_pred_cond = model.argmax_unit_indices_given(out, pred_di)
             section = _classification_section(
                 gold_unit_names,
                 [reg.units[int(i)].name for i in pred_pred_cond],
@@ -336,7 +336,7 @@ def evaluate(
             report.probes["unit-given-predicted-dim"] = section
 
     if "num" in probes:
-        pred = model.predict_number_batch(H)
+        pred = model.predict_number_batch(out)
         report.probes["num"] = {
             "log_mae": log_mae(gold_numbers, pred),
             "group_log_mae": {
@@ -347,7 +347,7 @@ def evaluate(
         if record.given and not record.latent:
             gold_ui = np.array([reg.unit_index(ex.unit) for ex in test])
             cols = model._columns_given(gold_di, gold_ui)
-            gold_cond = 10.0 ** model.number_locations(H)[np.arange(len(test)), cols]
+            gold_cond = 10.0 ** out.number[np.arange(len(test)), cols]
             report.probes[f"num-given-gold-{record.given}"] = {
                 "log_mae": log_mae(gold_numbers, gold_cond)
             }

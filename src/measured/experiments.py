@@ -37,15 +37,17 @@ def train_variant(
     seed: int,
     mixture_number_prediction: bool = False,
 ) -> TrainResult:
-    """Build and train one model; ``seed`` drives init and shuffling."""
-    encoder = HashedNgramEncoder(encoder_config, seed=seed)
+    """Build and train one model; ``seed`` drives init and shuffling.  The
+    config is resolved before the encoder draws ``W_S``, so a bad one fails fast."""
     spec = ModelSpec(
         variant,
         encoder_config.hidden_dim,
         mixture_number_prediction=mixture_number_prediction,
     )
+    config = replace(train_config, seed=seed).resolve(encoder_config.frozen, variant)
+    encoder = HashedNgramEncoder(encoder_config, seed=seed)
     model = MeasurementModel(spec, registry, encoder, seed=seed)
-    return train(model, split, replace(train_config, seed=seed))
+    return train(model, split, config)
 
 
 def fewshot_grid(

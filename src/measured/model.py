@@ -30,14 +30,14 @@ latent, its default model-selection metric and the evaluation probes it
 answers.  The code reads these fields and never branches on a variant's
 name.
 
-The loss exists once, batched over the rows of an encoded batch ``H``:
-:func:`_forward_backward` sums the terms of the variant's factors and
-returns their analytic gradients; one example's loss is that function on
-``H = h[None]``.  The number and posterior read-outs
-(``predict_number_batch``, ``mixture_median_locations``, ``posterior_dims``)
-exist only batched too.  The unit factor p(U|D,S) is computed once, in
+An encoded batch ``H`` has one :class:`HeadOutputs` record, made by
+``MeasurementModel.outputs(H)``, which runs each head the variant owns once.
+The loss (:func:`_forward_backward`, with its analytic gradients) and the
+read-outs (the argmaxes, ``predict_number_batch``, ``posterior_dims``) read
+that record and exist only batched; ``predict(h)`` is the read-outs on the
+one-row batch ``h[None]``.  The unit factor p(U|D,S) is computed once, in
 ``MeasurementModel._unit_log_probs``, which the unit loss and the posterior
-read; the unit argmax of the probes and ``predict`` reads the masked logits.
+read; the unit argmax reads the masked logits.
 
 All losses and locations use base-10 logarithms throughout, so a loss of 1
 means "off by one decade".  Inference methods are pure given parameters and
@@ -170,6 +170,30 @@ class Prediction:
     dim_probs: np.ndarray
 
 
+@dataclass(frozen=True)
+class HeadOutputs:
+    """The heads' outputs on one encoded batch ``H``, each computed once.
+
+    ``dim`` and ``unit`` are the (B, |dims|) and (B, |units|) logits and
+    ``number`` the (B, columns) log10 locations.  Reading a head the variant
+    does not own raises :class:`MissingHead`.
+    """
+
+    variant: str
+    H: np.ndarray
+    heads: dict[str, np.ndarray]  # "D", "U", "Y" -> that head's output
+
+    def _read(self, head: str) -> np.ndarray:
+        try:
+            return self.heads[head]
+        except KeyError:
+            raise MissingHead(f"variant {self.variant!r} has no {head} head") from None
+
+    dim = property(lambda self: self._read("D"))
+    unit = property(lambda self: self._read("U"))
+    number = property(lambda self: self._read("Y"))
+
+
 def _softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = z - z.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -236,14 +260,6 @@ class MeasurementModel:
 
     # -- parameter plumbing ---------------------------------------------------
 
-    def _head(self, name: str) -> np.ndarray:
-        try:
-            return self.params[name]
-        except KeyError:
-            raise MissingHead(
-                f"variant {self.spec.variant!r} has no {name} head"
-            ) from None
-
     def trainable_parameters(self) -> dict[str, np.ndarray]:
         out = dict(self.params)
         for name, array in self.encoder.trainable_parameters().items():
@@ -253,20 +269,26 @@ class MeasurementModel:
     def encode(self, text: str) -> np.ndarray:
         return self.encoder.encode(text)
 
-    # -- head outputs (accept a single h or a batch H) --------------------------
+    # -- head outputs -----------------------------------------------------------
 
     def dim_logits(self, h: np.ndarray) -> np.ndarray:
-        return h @ self._head("W_D") + self._head("b_D")
+        return h @ self.params["W_D"] + self.params["b_D"]
 
     def unit_logits(self, h: np.ndarray) -> np.ndarray:
-        return h @ self._head("W_U") + self._head("b_U")
+        return h @ self.params["W_U"] + self.params["b_U"]
 
     def number_locations(self, h: np.ndarray) -> np.ndarray:
         """Predicted log10 locations, one per number-head column."""
-        return h @ self._head("W_Y") + self._head("b_Y")
+        return h @ self.params["W_Y"] + self.params["b_Y"]
 
-    def _unit_log_probs(self, Z: np.ndarray, dims=None) -> np.ndarray:
-        """(B, U) log p(u | dim(u), h); -inf off the units of ``dims`` (default all).
+    def outputs(self, H: np.ndarray) -> HeadOutputs:
+        """Every head the variant owns, run once on the encoded batch ``H``."""
+        run = {"D": self.dim_logits, "U": self.unit_logits, "Y": self.number_locations}
+        heads = {head: run[head](H) for head in self.spec.record.heads}
+        return HeadOutputs(self.spec.variant, H, heads)
+
+    def _unit_log_probs(self, Z: np.ndarray) -> np.ndarray:
+        """(B, U) log p(u | dim(u), h) from the unit logits ``Z``.
 
         Each dimension's block is normalized as a C-ordered copy:
         ``Z[:, allowed]`` comes out F-ordered, numpy sums the two layouts in
@@ -274,12 +296,9 @@ class MeasurementModel:
         and only C order gives a row the same bits in a batch as alone.
         """
         L = np.full(Z.shape, -np.inf)
-        for di in range(len(self._dim_units)) if dims is None else dims:
-            allowed = self._dim_units[di]
+        for allowed in self._dim_units:
             L[:, allowed] = _log_softmax(Z[:, allowed].copy(order="C"), axis=1)
         return L
-
-    # -- number columns ---------------------------------------------------------
 
     def _columns_given(self, dim_index, unit_index):
         """Number-head column conditioned on the given dimension/unit indices."""
@@ -288,22 +307,9 @@ class MeasurementModel:
             return np.zeros_like(dim_index)
         return unit_index if given == "unit" else dim_index
 
-    def _top_columns(self, H: np.ndarray) -> np.ndarray:
-        """Number-head column of each row's own top dimension and unit."""
-        given = self.spec.record.given
-        if not given:
-            return np.zeros(len(H), dtype=np.int64)
-        di = self.argmax_dimension_indices(H)
-        return self.argmax_unit_indices_given(H, di) if given == "unit" else di
+    # -- inference: batched read-outs of one HeadOutputs ------------------------
 
-    @property
-    def _reads_mixture_median(self) -> bool:
-        """Whether the text-only number read-out is the dimension-mixture median."""
-        return self.spec.record.latent or self.spec.mixture_number_prediction
-
-    # -- inference -------------------------------------------------------------
-
-    def posterior_dims(self, H: np.ndarray, canonical_numbers) -> np.ndarray:
+    def posterior_dims(self, out: HeadOutputs, canonical_numbers) -> np.ndarray:
         """Dimension distribution of each row after observing its number.
 
         Bayes update of ``p(d|h)`` with the number density: the per-
@@ -323,35 +329,29 @@ class MeasurementModel:
             )
         t = np.log10(y)
         if record.given == "dim":
-            _, _, scores = _mixture_summands(self, H, t)
+            _, scores = _mixture_summands(out, t)
         else:
-            log_joint = self._unit_log_probs(self.unit_logits(H)) - LN10 * (
-                np.abs(t[:, None] - self.number_locations(H)) / LAPLACE_SCALE
+            log_joint = self._unit_log_probs(out.unit) - LN10 * (
+                np.abs(t[:, None] - out.number) / LAPLACE_SCALE
             )
-            scores = _log_softmax(self.dim_logits(H), axis=1) + np.stack(
+            scores = _log_softmax(out.dim, axis=1) + np.stack(
                 [_logsumexp(log_joint[:, units]) for units in self._dim_units], axis=1
             )
         return _softmax(scores, axis=1)
 
-    def argmax_dimension_indices(self, H: np.ndarray) -> np.ndarray:
-        return np.argmax(self.dim_logits(H), axis=1)
+    def argmax_dimension_indices(self, out: HeadOutputs) -> np.ndarray:
+        return np.argmax(out.dim, axis=1)
 
-    def argmax_unit_indices_given(
-        self, H: np.ndarray, dim_indices: np.ndarray
-    ) -> np.ndarray:
+    def argmax_unit_indices_given(self, out: HeadOutputs, dim_indices) -> np.ndarray:
         """Top unit within each row's given dimension.  The argmax reads the
         logits: rounding to log-probabilities can tie two of them."""
-        return self._top_units(self.unit_logits(H), dim_indices)
-
-    def _top_units(self, Z: np.ndarray, dim_indices) -> np.ndarray:
-        """Argmax of each row of unit logits ``Z`` within its given dimension."""
         given = self._unit_dim == np.asarray(dim_indices)[:, None]
-        return np.argmax(np.where(given, Z, -np.inf), axis=1)
+        return np.argmax(np.where(given, out.unit, -np.inf), axis=1)
 
-    def mixture_median_locations(self, H: np.ndarray) -> np.ndarray:
+    def mixture_median_locations(self, out: HeadOutputs) -> np.ndarray:
         """Median of each row's dimension-mixture number distribution (log10)."""
-        prior = _softmax(self.dim_logits(H), axis=1)
-        MU = self.number_locations(H)
+        prior = _softmax(out.dim, axis=1)
+        MU = out.number
         lo = MU.min(axis=1) - 20.0
         hi = MU.max(axis=1) + 20.0
         for _ in range(200):
@@ -370,44 +370,41 @@ class MeasurementModel:
                 break
         return 0.5 * (lo + hi)
 
-    def predict_number_batch(self, H: np.ndarray) -> np.ndarray:
-        """Canonical number predicted from text alone, one per row of H.
+    def predict_number_batch(self, out: HeadOutputs) -> np.ndarray:
+        """Canonical number predicted from text alone, one per row."""
+        given = self.spec.record.given
+        di = self.argmax_dimension_indices(out) if given else np.zeros(len(out.H), int)
+        ui = self.argmax_unit_indices_given(out, di) if given == "unit" else di
+        return 10.0 ** self._located(out, di, ui)
+
+    def _located(self, out: HeadOutputs, di, ui) -> np.ndarray:
+        """log10 of the number read from text alone, given each row's top classes.
 
         The dimension-mixture median for a latent-dimension model, or for a
         per-dimension one with ``mixture_number_prediction``; otherwise the
-        location in the column of the row's own top classes.
+        location in the column of the row's top classes ``di`` and ``ui``.
         """
-        if self._reads_mixture_median:
-            return 10.0 ** self.mixture_median_locations(H)
-        return 10.0 ** self.number_locations(H)[np.arange(len(H)), self._top_columns(H)]
+        if self.spec.record.latent or self.spec.mixture_number_prediction:
+            return self.mixture_median_locations(out)
+        return out.number[np.arange(len(di)), self._columns_given(di, ui)]
 
     def predict(self, h: np.ndarray) -> Prediction:
         """Argmax dimension, argmax unit within it, and the located number.
 
-        Both argmaxes read the logits, as the probes' argmaxes do, and ties
-        break toward the lowest class index.  Each logit vector is computed
-        once.  The surface number is the canonical number converted into
-        the predicted unit.
+        The batched read-outs on the one-row batch ``h[None]``, so ties break
+        toward the lowest class index and a variant without all three heads
+        raises :class:`MissingHead`.  The surface number is the canonical
+        number converted into the predicted unit.
         """
-        if not {"D", "U", "Y"} <= set(self.spec.record.heads):
-            raise MissingHead(
-                f"full prediction needs dimension, unit, and number heads; "
-                f"variant {self.spec.variant!r} lacks some"
-            )
-        z_dim, z_unit = self.dim_logits(h), self.unit_logits(h)[None]
-        di = int(np.argmax(z_dim))
-        ui = int(self._top_units(z_unit, [di])[0])
-        dimension, unit = self.registry.dimensions[di], self.registry.units[ui]
-        dim_probs = _softmax(z_dim)
-        if self._reads_mixture_median:
-            mu = float(self.mixture_median_locations(h[None])[0])
-        else:
-            mu = float(self.number_locations(h)[self._columns_given(di, ui)])
-        canonical = 10.0 ** mu
-        surface = convert(
-            canonical, self.registry.canonical_unit(dimension), unit
-        )
-        return Prediction(dimension, unit, canonical, surface, dim_probs)
+        out = self.outputs(h[None])
+        di = self.argmax_dimension_indices(out)
+        ui = self.argmax_unit_indices_given(out, di)
+        dimension = self.registry.dimensions[int(di[0])]
+        unit = self.registry.units[int(ui[0])]
+        # a scalar power: numpy's vectorized one can differ in the last bit
+        canonical = 10.0 ** float(self._located(out, di, ui)[0])
+        surface = convert(canonical, self.registry.canonical_unit(dimension), unit)
+        return Prediction(dimension, unit, canonical, surface, _softmax(out.dim[0]))
 
 
 # -- the loss, batched -------------------------------------------------------------
@@ -432,14 +429,14 @@ def batch_arrays(model: MeasurementModel, examples) -> BatchArrays:
     )
 
 
-# Each loss term maps (model, H, arrays, class weights, want_grads) to its
-# batch-mean value and the gradients on the logits of the heads it reads.
+# Each loss term maps (model, head outputs, arrays, class weights, want_grads)
+# to its batch-mean value and the gradients on the logits of the heads it reads.
 
-def _dim_term(model, H, arrays, weights, want_grads):
+def _dim_term(model, out, arrays, weights, want_grads):
     """Cross-entropy of the gold dimension."""
-    B = H.shape[0]
+    B = len(out.H)
     rows = np.arange(B)
-    log_pi = _log_softmax(model.dim_logits(H), axis=1)
+    log_pi = _log_softmax(out.dim, axis=1)
     w = weights[arrays.dim_index] if weights is not None else np.ones(B)
     loss = float(np.mean(-w * log_pi[rows, arrays.dim_index] / LN10))
     if not want_grads:
@@ -450,11 +447,11 @@ def _dim_term(model, H, arrays, weights, want_grads):
     return loss, {"D": dZD}
 
 
-def _unit_term(model, H, arrays, weights, want_grads):
+def _unit_term(model, out, arrays, weights, want_grads):
     """Cross-entropy of the gold unit among the units of the gold dimension."""
-    B = H.shape[0]
+    B = len(out.H)
     rows = np.arange(B)
-    L = model._unit_log_probs(model.unit_logits(H))
+    L = model._unit_log_probs(out.unit)
     w = weights[arrays.unit_index] if weights is not None else np.ones(B)
     loss = float(np.mean(w * (-L[rows, arrays.unit_index] / LN10)))
     if not want_grads:
@@ -466,10 +463,10 @@ def _unit_term(model, H, arrays, weights, want_grads):
     return loss, {"U": dZU}
 
 
-def _number_term(model, H, arrays, weights, want_grads):
+def _number_term(model, out, arrays, weights, want_grads):
     """L1 loss in log10 space of the column the number conditions on."""
-    rows = np.arange(H.shape[0])
-    MU = model.number_locations(H)
+    MU = out.number
+    rows = np.arange(len(MU))
     cols = model._columns_given(arrays.dim_index, arrays.unit_index)
     mu = MU[rows, cols]
     t = arrays.log10_target
@@ -481,23 +478,21 @@ def _number_term(model, H, arrays, weights, want_grads):
     return loss, {"Y": dMU}
 
 
-def _mixture_summands(model, H, t):
+def _mixture_summands(out, t):
     """``ln p(d|h) - ln10 * fullNLL_d(y)`` per row and dimension.
 
     ``fullNLL_d`` is the number's negative log10 density under column ``d``,
-    normalizer and change of variable included.  Returns the log prior and
-    the locations too.
+    normalizer and change of variable included.  Returns the log prior too.
     """
-    log_pi = _log_softmax(model.dim_logits(H), axis=1)
-    MU = model.number_locations(H)
-    full_nll = np.abs(t[:, None] - MU) + math.log10(2.0) + t[:, None]
-    return log_pi, MU, log_pi - LN10 * full_nll
+    log_pi = _log_softmax(out.dim, axis=1)
+    full_nll = np.abs(t[:, None] - out.number) + math.log10(2.0) + t[:, None]
+    return log_pi, log_pi - LN10 * full_nll
 
 
-def _mixture_term(model, H, arrays, weights, want_grads):
+def _mixture_term(model, out, arrays, weights, want_grads):
     """Marginal number loss ``-log10 sum_d p(d|h) p(y|d,h)``."""
     t = arrays.log10_target
-    log_pi, MU, summands = _mixture_summands(model, H, t)
+    log_pi, summands = _mixture_summands(out, t)
     lse = _logsumexp(summands)
     loss = float(np.mean(-lse / LN10))
     if not want_grads:
@@ -505,13 +500,13 @@ def _mixture_term(model, H, arrays, weights, want_grads):
     resp = np.exp(summands - lse[:, None])
     return loss, {
         "D": (np.exp(log_pi) - resp) / LN10,
-        "Y": -resp * np.sign(t[:, None] - MU),
+        "Y": -resp * np.sign(t[:, None] - out.number),
     }
 
 
 def _forward_backward(
     model: MeasurementModel,
-    H: np.ndarray,
+    out: HeadOutputs,
     arrays: BatchArrays,
     dim_weights: np.ndarray | None,
     unit_weights: np.ndarray | None,
@@ -523,7 +518,7 @@ def _forward_backward(
     cross-entropy, and the number loss of the conditioning column; a latent
     dimension has the mixture term alone.  Returns ``(loss, head_grads,
     dH)`` where ``dH`` is the gradient with respect to the encoded batch
-    (for the encoder projection).
+    ``out.H`` (for the encoder projection).
     """
     record = model.spec.record
     if record.latent:
@@ -538,12 +533,13 @@ def _forward_backward(
             )
             if head in record.heads
         ]
+    H = out.H
     B = H.shape[0]
     loss = 0.0
     grads: dict[str, np.ndarray] = {}
     dH = np.zeros_like(H) if want_grads else None
     for term, weights in terms:
-        value, logit_grads = term(model, H, arrays, weights, want_grads)
+        value, logit_grads = term(model, out, arrays, weights, want_grads)
         loss += value
         for head, dZ in logit_grads.items():
             grads[f"W_{head}"] = H.T @ dZ / B

@@ -243,9 +243,9 @@ def gradients(
     if X is None:
         X = model.encoder.feature_matrix([ex.masked_text for ex in examples])
     arrays = batch_arrays(model, examples)
-    H = model.encoder.encode_matrix(X)
+    out = model.outputs(model.encoder.encode_matrix(X))
     loss, grads, dH = _forward_backward(
-        model, H, arrays, dim_weights, unit_weights, want_grads=True
+        model, out, arrays, dim_weights, unit_weights, want_grads=True
     )
     if not model.encoder.frozen:
         grads["encoder.W_S"] = model.encoder.projection_gradient(X, dH)
@@ -255,9 +255,9 @@ def gradients(
 def batch_loss(model: MeasurementModel, examples) -> float:
     """Mean unweighted joint loss of ``examples`` (no gradients)."""
     X = model.encoder.feature_matrix([ex.masked_text for ex in examples])
-    H = model.encoder.encode_matrix(X)
+    out = model.outputs(model.encoder.encode_matrix(X))
     loss, _, _ = _forward_backward(
-        model, H, batch_arrays(model, examples), None, None, want_grads=False
+        model, out, batch_arrays(model, examples), None, None, want_grads=False
     )
     return loss
 
@@ -273,21 +273,21 @@ class TrainResult:
     selection_metric: str
 
 
-def _val_metric(model, metric, H_val, arrays_val, val_examples) -> float:
+def _val_metric(model, metric, out_val, arrays_val, val_examples) -> float:
     from measured import evaluation  # local import; evaluation depends on model
 
     if metric == "joint-nll":
         loss, _, _ = _forward_backward(
-            model, H_val, arrays_val, None, None, want_grads=False
+            model, out_val, arrays_val, None, None, want_grads=False
         )
         return loss
     if metric == "macro-f1":
-        pred = model.argmax_dimension_indices(H_val)
+        pred = model.argmax_dimension_indices(out_val)
         gold = arrays_val.dim_index
         classes = sorted(set(gold.tolist()) | set(pred.tolist()))
         return evaluation.macro_f1(gold.tolist(), pred.tolist(), classes)
     if metric == "log-mae":
-        pred = model.predict_number_batch(H_val)
+        pred = model.predict_number_batch(out_val)
         gold = np.array([ex.canonical_number for ex in val_examples])
         return evaluation.log_mae(gold, pred)
     raise ValueError(f"unknown selection metric {metric!r}")
@@ -379,8 +379,8 @@ def train(
             epoch_loss += loss
             n_batches += 1
 
-        H_val = model.encoder.encode_matrix(X_val)
-        value = _val_metric(model, metric, H_val, arrays_val, val_ex)
+        out_val = model.outputs(model.encoder.encode_matrix(X_val))
+        value = _val_metric(model, metric, out_val, arrays_val, val_ex)
         if not math.isfinite(value):
             raise NonFiniteLoss(
                 f"epoch {epoch}, step {step}: validation {metric} is {value}"

@@ -331,7 +331,8 @@ class TestEvaluate:
         pred = []
         for ex in corpus.test:
             h = model.encode(ex.masked_text)
-            post = model.posterior_dims(h[None], [ex.canonical_number])[0]
+            out = model.outputs(h[None])
+            post = model.posterior_dims(out, [ex.canonical_number])[0]
             pred.append(registry.dimensions[int(np.argmax(post))].name)
         labels = section["confusion"]["labels"]
         gold = [ex.dimension.name for ex in corpus.test]

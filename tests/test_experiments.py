@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from measured import encoding
 from measured.data import DatasetSplit, fewshot_sample, ingest, split
 from measured.encoding import EncoderConfig
 from measured.evaluation import evaluate
@@ -63,3 +64,15 @@ class TestFewshotGrid:
         for table in ("dimension_macro_f1", "number_log_mae"):
             for regime in ("finetuned", "frozen"):
                 assert set(grid[table][regime]) == {str(k) for k in KS}
+
+
+def test_unusable_selection_metric_refused_before_the_draw(
+    corpus, registry, monkeypatch
+):
+    def no_draw(seed, shape):
+        raise AssertionError("W_S drawn before the config was resolved")
+
+    monkeypatch.setattr(encoding, "draw_init", no_draw)
+    config = replace(TRAIN, selection_metric="macro-f1")
+    with pytest.raises(ValueError, match="no supervised D for macro-f1"):
+        train_variant("number", corpus, registry, ENCODER, config, 0)

@@ -42,14 +42,22 @@ def softmax(z):
 
 
 def unit_probs(model, h, d):
-    """p(u | d, h) over every unit, from the masked unit matrix the model reads."""
+    """p(u | d, h) over every unit: block d of the unit matrix the model reads,
+    zero off it."""
     di = model.registry.dimension_index(d)
-    return np.exp(model._unit_log_probs(model.unit_logits(h)[None], [di])[0])
+    p = np.exp(model._unit_log_probs(model.unit_logits(h)[None])[0])
+    return np.where(model._unit_dim == di, p, 0.0)
 
 
 def row_loss(model, h, arrays):
     """The batched training loss on the single row ``h``."""
-    return _forward_backward(model, h[None], arrays, None, None, False)[0]
+    out = model.outputs(h[None])
+    return _forward_backward(model, out, arrays, None, None, False)[0]
+
+
+def row_posterior(model, h, y):
+    """The batched dimension posterior on the single row ``h`` and number ``y``."""
+    return model.posterior_dims(model.outputs(h[None]), [y])[0]
 
 
 def number_row(y):
@@ -352,7 +360,7 @@ class TestPosterior:
             [0.5 * 10.0 ** -abs(t - m) / (y * LN10) for m in mu]
         )
         expected = prior * dens / (prior * dens).sum()
-        assert np.allclose(model.posterior_dims(h[None], [y])[0], expected, atol=1e-12)
+        assert np.allclose(row_posterior(model, h, y), expected, atol=1e-12)
 
     def test_flat_prior_matches_pure_likelihood(self, toy_registry):
         model = make_model(toy_registry, "dim-number", seed=23)
@@ -362,14 +370,14 @@ class TestPosterior:
         y = 30.0
         mu = model.number_locations(h)
         best_density = int(np.argmin(np.abs(math.log10(y) - mu)))
-        assert int(np.argmax(model.posterior_dims(h[None], [y])[0])) == best_density
+        assert int(np.argmax(row_posterior(model, h, y))) == best_density
 
     def test_posterior_equals_prior_when_densities_equal(self, toy_registry):
         model = make_model(toy_registry, "dim-number", seed=29)
         model.params["W_Y"][:] = 0.0
         model.params["b_Y"][:] = 0.7
         h = rand_h(14)
-        posterior = model.posterior_dims(h[None], [12.0])[0]
+        posterior = row_posterior(model, h, 12.0)
         assert np.allclose(posterior, softmax(model.dim_logits(h)), atol=1e-12)
 
     def test_unit_mixture_posterior_brute_force(self, toy_registry):
@@ -386,23 +394,24 @@ class TestPosterior:
             mix = sum(pu[u] * 0.5 * 10.0 ** -abs(t - mu[u]) / (y * LN10) for u in allowed)
             scores.append(prior[toy_registry.dimension_index(d)] * mix)
         expected = np.array(scores) / sum(scores)
-        assert np.allclose(model.posterior_dims(h[None], [y])[0], expected, atol=1e-12)
+        assert np.allclose(row_posterior(model, h, y), expected, atol=1e-12)
 
     @pytest.mark.parametrize("variant", ["dim-number", "joint-unit"])
     def test_batched_posterior_matches_one_row_loop(self, toy_registry, variant):
         model = make_model(toy_registry, variant, seed=71)
         H = np.random.default_rng(4).normal(size=(9, M))
         ys = 10.0 ** np.linspace(-3.0, 5.0, 9)
-        batch = model.posterior_dims(H, ys)
+        batch = model.posterior_dims(model.outputs(H), ys)
         for h, y, row in zip(H, ys, batch):
-            assert np.allclose(row, model.posterior_dims(h[None], [y])[0], atol=1e-12)
+            assert np.allclose(row, row_posterior(model, h, y), atol=1e-12)
 
     def test_missing_head(self, toy_registry):
+        dim = make_model(toy_registry, "dim")
         with pytest.raises(MissingHead):
-            make_model(toy_registry, "dim").posterior_dims(rand_h()[None], [1.0])
+            dim.posterior_dims(dim.outputs(rand_h()[None]), [1.0])
         model = make_model(toy_registry, "dim-number")
         with pytest.raises(NonPositiveNumber):
-            model.posterior_dims(rand_h()[None], [-1.0])
+            model.posterior_dims(model.outputs(rand_h()[None]), [-1.0])
 
 
 class TestPredict:
@@ -456,6 +465,20 @@ class TestPredict:
             with pytest.raises(MissingHead):
                 make_model(toy_registry, variant).predict(rand_h())
 
+    @pytest.mark.parametrize(
+        "variant, read_out",
+        [
+            ("dim", lambda model, out: model.argmax_unit_indices_given(out, [0])),
+            ("number", lambda model, out: model.argmax_dimension_indices(out)),
+            ("dim-unit", lambda model, out: model.predict_number_batch(out)),
+            ("number", lambda model, out: model.mixture_median_locations(out)),
+        ],
+    )
+    def test_read_out_of_a_missing_head(self, toy_registry, variant, read_out):
+        model = make_model(toy_registry, variant)
+        with pytest.raises(MissingHead, match=f"variant {variant!r} has no"):
+            read_out(model, model.outputs(rand_h()[None]))
+
 
 class TestPredictNumberPaths:
     def test_batch_matches_scalar(self, toy_registry):
@@ -469,12 +492,16 @@ class TestPredictNumberPaths:
             model = make_model(
                 toy_registry, variant, seed=47, mixture_number_prediction=mixture
             )
-            batch = model.predict_number_batch(H)
-            single = np.array([model.predict_number_batch(h[None])[0] for h in H])
+            batch = model.predict_number_batch(model.outputs(H))
+            single = np.array(
+                [model.predict_number_batch(model.outputs(h[None]))[0] for h in H]
+            )
             assert np.allclose(batch, single, rtol=1e-9), (variant, mixture)
             if variant == "latent-dim" or mixture:
-                medians = model.mixture_median_locations(H)
-                one_by_one = [model.mixture_median_locations(h[None])[0] for h in H]
+                medians = model.mixture_median_locations(model.outputs(H))
+                one_by_one = [
+                    model.mixture_median_locations(model.outputs(h[None]))[0] for h in H
+                ]
                 assert np.allclose(medians, one_by_one, atol=1e-9), variant
 
     def test_mixture_median_single_component(self, one_dim_registry):
@@ -484,7 +511,8 @@ class TestPredictNumberPaths:
         )
         h = rand_h(21)
         mu = float(model.number_locations(h)[0])
-        assert model.mixture_median_locations(h[None])[0] == pytest.approx(mu, abs=1e-9)
+        median = model.mixture_median_locations(model.outputs(h[None]))[0]
+        assert median == pytest.approx(mu, abs=1e-9)
 
     def test_mixture_median_symmetric_two_component(self, toy_registry):
         from measured.units import parse_registry
@@ -501,7 +529,7 @@ class TestPredictNumberPaths:
         model.params["b_D"][:] = 0.0
         model.params["W_Y"][:] = 0.0
         model.params["b_Y"][:] = [1.0, 5.0]
-        median = model.mixture_median_locations(rand_h(22)[None])[0]
+        median = model.mixture_median_locations(model.outputs(rand_h(22)[None]))[0]
         assert median == pytest.approx(3.0, abs=1e-9)
 
     def test_mixture_flag_switches_joint_readout(self, toy_registry):
@@ -511,8 +539,8 @@ class TestPredictNumberPaths:
         )
         mixed.params = {k: v.copy() for k, v in plain.params.items()}
         h = rand_h(23)
-        argmax_value = plain.predict_number_batch(h[None])[0]
-        mixture_value = mixed.predict_number_batch(h[None])[0]
+        argmax_value = plain.predict_number_batch(plain.outputs(h[None]))[0]
+        mixture_value = mixed.predict_number_batch(mixed.outputs(h[None]))[0]
         di = int(np.argmax(plain.dim_logits(h)))
         assert argmax_value == pytest.approx(
             10.0 ** float(plain.number_locations(h)[di])

@@ -289,7 +289,7 @@ class TestGradients:
         per_example = [
             _forward_backward(
                 model,
-                model.encode(ex.masked_text)[None],
+                model.outputs(model.encode(ex.masked_text)[None]),
                 batch_arrays(model, [ex]),
                 None,
                 None,
@@ -366,7 +366,7 @@ class TestTrainLoop:
     ):
         calls = {"n": 0}
 
-        def worsening(model, metric, H_val, arrays_val, val_examples):
+        def worsening(model, metric, out_val, arrays_val, val_examples):
             calls["n"] += 1
             return float(calls["n"])
 
@@ -391,7 +391,7 @@ class TestTrainLoop:
 
         calls = {"n": 0}
 
-        def worsening(model, metric, H_val, arrays_val, val_examples):
+        def worsening(model, metric, out_val, arrays_val, val_examples):
             calls["n"] += 1
             return float(calls["n"])
 
