@@ -3,14 +3,17 @@
 Subcommands cover the full pipeline: ``ingest`` raw records, ``synth`` a
 synthetic corpus, ``stats`` a corpus, ``train`` a model variant, ``eval``
 its probes, ``predict`` on new sentences, run the ``fewshot`` grid, and
-``export`` hidden-vector embeddings.
+``export`` hidden-vector embeddings.  ``fewshot`` always runs both
+regimes, frozen and trainable encoder, so only ``train`` takes ``--frozen``.
 
 Configuration precedence is flags > config file > defaults.  The config
 file is flat ``key=value`` text whose keys mirror the long flag names
 (without the leading dashes); unknown keys are rejected.  ``train --resume``
 continues the checkpoint's model, so it rejects a model option (an encoder
 flag, ``--variant`` or ``--mixture-number``) that a flag or the config file
-sets to a value other than the checkpoint's.  Every random choice derives
+sets to a value other than the checkpoint's.  Encoder, training, synth and
+split defaults are those of ``EncoderConfig``, ``TrainConfig``,
+``SynthConfig`` and ``data.SPLIT_RATIOS``.  Every random choice derives
 from the single ``--seed``.
 """
 
@@ -21,7 +24,7 @@ import csv
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -160,42 +163,45 @@ def _write_json(doc, path) -> None:
 
 
 def _add_encoder_options(cmd: _Command) -> None:
-    cmd.add("feature-dim", int, 2**18, "hash buckets for n-gram features")
-    cmd.add("hidden-dim", int, 256, "width of the encoded hidden vector")
-    cmd.add("word-ngrams", _csv_ints, (1, 2), "word n-gram orders, e.g. 1,2")
-    cmd.add("char-ngrams", _csv_ints, (3, 4), "character n-gram orders, e.g. 3,4")
-    cmd.add("hash-seed", int, 0, "feature hashing seed")
-    cmd.add("frozen", bool, False, "freeze the encoder projection (heads only)")
+    enc = EncoderConfig
+    cmd.add("feature-dim", int, enc.feature_dim, "hash buckets for n-gram features")
+    cmd.add("hidden-dim", int, enc.hidden_dim, "width of the encoded hidden vector")
+    cmd.add("word-ngrams", _csv_ints, enc.word_ngrams, "word n-gram orders, e.g. 1,2")
+    cmd.add(
+        "char-ngrams", _csv_ints, enc.char_ngrams, "character n-gram orders, e.g. 3,4"
+    )
+    cmd.add("hash-seed", int, enc.hash_seed, "feature hashing seed")
 
 
 def _add_train_options(cmd: _Command) -> None:
-    cmd.add("batch-size", int, 200, "examples per gradient step")
-    cmd.add("epochs", int, 100, "maximum training epochs")
-    cmd.add("lr", float, None, "learning rate (default 1e-4, or 1e-3 frozen)")
-    cmd.add("warmup", int, 500, "linear warmup steps")
-    cmd.add("patience", int, 5, "early-stopping patience in epochs")
-    cmd.add("weight-decay", float, 0.01, "decoupled weight decay")
+    tc = training.TrainConfig
+    cmd.add("batch-size", int, tc.batch_size, "examples per gradient step")
+    cmd.add("epochs", int, tc.max_epochs, "maximum training epochs")
+    lr_help = "learning rate (default 1e-4, or 1e-3 frozen)"
+    cmd.add("lr", float, tc.learning_rate, lr_help)
+    cmd.add("warmup", int, tc.warmup_steps, "linear warmup steps")
+    cmd.add("patience", int, tc.patience, "early-stopping patience in epochs")
+    cmd.add("weight-decay", float, tc.weight_decay, "decoupled weight decay")
     cmd.add(
         "weighting",
         str,
-        None,
+        tc.weighting,
         "cross-entropy class weighting: uniform or log-frequency "
         "(default: log-frequency when frozen)",
     )
     cmd.add(
         "selection-metric",
         str,
-        None,
+        tc.selection_metric,
         "early-stopping metric: joint-nll, macro-f1, or log-mae "
         "(default: per variant)",
     )
-    cmd.add("ratios", _csv_floats, (0.8, 0.1, 0.1), "train,val,test split ratios")
+    cmd.add("ratios", _csv_floats, data_mod.SPLIT_RATIOS, "train,val,test split ratios")
 
 
-def _encoder_config(args, frozen: bool | None = None) -> EncoderConfig:
-    names = [f.name for f in fields(EncoderConfig)]
-    config = EncoderConfig(**{name: getattr(args, name) for name in names})
-    return config if frozen is None else replace(config, frozen=frozen)
+def _encoder_config(args) -> EncoderConfig:
+    names = [f.name for f in fields(EncoderConfig) if hasattr(args, f.name)]
+    return EncoderConfig(**{name: getattr(args, name) for name in names})
 
 
 def _train_config(args) -> training.TrainConfig:
@@ -297,6 +303,7 @@ def cmd_train(args) -> int:
     if args.resume and args.seeds > 1:
         raise ValueError("--resume trains a single model; drop --seeds")
     registry = _load_registry(args)
+    encoder_config = _encoder_config(args)  # a bad one fails before any work
     split = _load_split(args, registry)
     train_config = _train_config(args)
 
@@ -311,7 +318,7 @@ def cmd_train(args) -> int:
             result = training.train(model, split, train_config)
         else:
             result = experiments.train_variant(
-                args.variant, split, registry, _encoder_config(args), train_config,
+                args.variant, split, registry, encoder_config, train_config,
                 seed, mixture_number_prediction=args.mixture_number,
             )
         metrics.append(result.best_value)
@@ -432,7 +439,7 @@ def cmd_fewshot(args) -> int:
     report = experiments.fewshot_grid(
         split,
         registry,
-        _encoder_config(args, frozen=False),
+        _encoder_config(args),
         _train_config(args),
         ks=tuple(args.k),
         seeds=tuple(range(args.seed, args.seed + args.seeds)),
@@ -471,9 +478,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
     cmd.add("data", str, None, "raw JSONL input path", required=True)
 
     cmd = command("synth", "generate a synthetic corpus", cmd_synth)
-    cmd.add("n", int, 7000, "number of records")
-    cmd.add("ambiguity", float, 0.0, "fraction of dimension-neutral sentences")
-    cmd.add("balanced", bool, True, "equal examples per dimension")
+    sc = synth.SynthConfig
+    cmd.add("n", int, sc.n_examples, "number of records")
+    cmd.add("ambiguity", float, sc.ambiguity, "fraction of dimension-neutral sentences")
+    cmd.add("balanced", bool, sc.balanced, "equal examples per dimension")
 
     cmd = command("stats", "corpus statistics as JSON", cmd_stats)
     cmd.add("data", str, None, "JSONL input path", required=True)
@@ -486,6 +494,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
     cmd.add("resume", str, None, "checkpoint to continue; model options must match it")
     cmd.add("mixture-number", bool, False, "predict numbers via the dimension mixture")
     _add_encoder_options(cmd)
+    frozen_help = "freeze the encoder projection (heads only)"
+    cmd.add("frozen", bool, EncoderConfig.frozen, frozen_help)
     _add_train_options(cmd)
 
     cmd = command("eval", "evaluate a checkpoint's probes", cmd_eval)
@@ -493,7 +503,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Command]]:
     cmd.add("data", str, None, "JSONL corpus path", required=True)
     cmd.add("probes", str, "auto", "comma list: dim,dim-given-y,unit,num (or auto)")
     cmd.add("csv-dir", str, None, "also write per-table CSV files here")
-    cmd.add("ratios", _csv_floats, (0.8, 0.1, 0.1), "train,val,test split ratios")
+    cmd.add("ratios", _csv_floats, data_mod.SPLIT_RATIOS, "train,val,test split ratios")
 
     cmd = command("predict", "predict measurements for masked sentences", cmd_predict)
     cmd.add("checkpoint", str, None, "model checkpoint path", required=True)

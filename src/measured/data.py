@@ -28,6 +28,7 @@ MASK_NUMBER = "[#NUM]"
 MASK_UNIT = "[#UNIT]"
 
 MAX_TOKENS = 64
+SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train, val, test
 
 T = TypeVar("T")
 
@@ -86,9 +87,6 @@ class DatasetSplit:
     val: list
     test: list
     seed: int
-
-    def __iter__(self):
-        yield from (self.train, self.val, self.test)
 
 
 # -- tokenization -------------------------------------------------------------
@@ -286,7 +284,7 @@ def write_jsonl(path, records: Iterable[dict]) -> int:
 
 def split(
     examples: Sequence[T],
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
+    ratios: tuple[float, float, float] = SPLIT_RATIOS,
     seed: int = 0,
 ) -> DatasetSplit:
     """Seeded shuffle followed by a train/val/test partition.
@@ -370,23 +368,12 @@ class CorpusStats:
         }
 
 
-def stats(data: DatasetSplit | Sequence[MeasurementExample]) -> CorpusStats:
-    """Corpus statistics over a split (or a flat example list).
+def stats(examples: Sequence[MeasurementExample]) -> CorpusStats:
+    """Corpus statistics over a flat example list.
 
     Exponent bins are ``floor(log10(canonical_number))``; medians are taken
     over character counts and :func:`tokenize` lengths of the masked text.
     """
-    if isinstance(data, DatasetSplit):
-        sizes = {
-            "train": len(data.train),
-            "val": len(data.val),
-            "test": len(data.test),
-        }
-        examples = [*data.train, *data.val, *data.test]
-    else:
-        examples = list(data)
-        sizes = {"all": len(examples)}
-
     dim_counts: Counter = Counter()
     unit_counts: Counter = Counter()
     dim_hist: dict[str, Counter] = {}
@@ -399,7 +386,7 @@ def stats(data: DatasetSplit | Sequence[MeasurementExample]) -> CorpusStats:
         unit_hist.setdefault(ex.unit.name, Counter())[b] += 1
 
     return CorpusStats(
-        split_sizes=sizes,
+        split_sizes={"all": len(examples)},
         dimension_counts=dict(dim_counts),
         unit_counts=dict(unit_counts),
         exponent_hist_by_dimension={k: dict(v) for k, v in dim_hist.items()},

@@ -72,11 +72,13 @@ class EncoderConfig:
     hash_seed: int = 0
     frozen: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.feature_dim < 1 or self.hidden_dim < 1:
             raise ValueError("feature_dim and hidden_dim must be >= 1")
         if any(n < 1 for n in (*self.word_ngrams, *self.char_ngrams)):
             raise ValueError("n-gram orders must be >= 1")
+        if not (self.word_ngrams or self.char_ngrams):
+            raise ValueError("need at least one word or character n-gram order")
 
 
 @dataclass(frozen=True)
@@ -268,7 +270,6 @@ class HashedNgramEncoder:
     def __init__(
         self, config: EncoderConfig, seed: int = 0, W_S: np.ndarray | None = None
     ):
-        config.validate()
         self.config = config
         self.seed = seed
         shape = (config.feature_dim, config.hidden_dim)
@@ -367,17 +368,15 @@ class HashedNgramEncoder:
 def export_embeddings(
     encoder: HashedNgramEncoder,
     examples: list[MeasurementExample],
-    sink,
+    path,
 ) -> int:
-    """Write one TSV row per example: hidden vector plus labels.
+    """Write one TSV row per example to ``path``: hidden vector plus labels.
 
     Columns: ``h_0..h_{M-1}``, then the example's dimension name, unit name,
-    and base-10 exponent bin of the canonical number.  ``sink`` is a path or
-    a writable text file.  Returns the number of rows written.
+    and base-10 exponent bin of the canonical number.  Returns the number of
+    rows written.
     """
-    own = isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__")
-    f = open(sink, "w", encoding="utf-8") if own else sink
-    try:
+    with open(path, "w", encoding="utf-8") as f:
         m = encoder.hidden_dim
         header = [f"h_{i}" for i in range(m)] + ["dimension", "unit", "exponent_bin"]
         f.write("\t".join(header) + "\n")
@@ -389,7 +388,4 @@ def export_embeddings(
                 str(exponent_bin(ex.canonical_number)),
             ]
             f.write("\t".join(row) + "\n")
-    finally:
-        if own:
-            f.close()
     return len(examples)

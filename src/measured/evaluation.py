@@ -17,7 +17,7 @@ record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 
 import numpy as np
@@ -197,13 +197,7 @@ class EvalReport:
     baselines: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "probes": self.probes,
-            "baselines": self.baselines,
-        }
+        return asdict(self)
 
 
 def _classification_section(gold_names, pred_names, ordered_classes) -> dict:

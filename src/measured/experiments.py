@@ -65,8 +65,16 @@ def fewshot_grid(
     macro-F1) and of the number model (scored by the ``num`` probe's
     log-mae), next to the :func:`~measured.evaluation.baselines` of the
     whole split.  Returns a report keyed by regime and k with per-seed
-    values and mean/sd.
+    values and mean/sd.  The config is resolved for both variants before
+    any model trains, so a selection metric one cannot compute fails fast.
     """
+    # (report table, variant trained, probe scored, probe metric)
+    tasks = (
+        ("dimension_macro_f1", "dim", "dim", "macro_f1"),
+        ("number_log_mae", "number", "num", "log_mae"),
+    )
+    for _, variant, _, _ in tasks:
+        train_config.resolve(False, variant)
     base = evaluation.baselines(split, registry)
     majority = base["majority_dimension"]
     report: dict = {
@@ -83,11 +91,6 @@ def fewshot_grid(
             "median": base["median_number"]["log_mae"],
         },
     }
-    # (report table, variant trained, probe scored, probe metric)
-    tasks = (
-        ("dimension_macro_f1", "dim", "dim", "macro_f1"),
-        ("number_log_mae", "number", "num", "log_mae"),
-    )
     for table, variant, probe, key in tasks:
         for regime, frozen in (("finetuned", False), ("frozen", True)):
             config = replace(encoder_config, frozen=frozen)

@@ -602,7 +602,6 @@ def _from_meta(cls, meta: dict):
 
 def _v3_projection(z, config: EncoderConfig, seed: int, path) -> np.ndarray:
     """``W_S`` of a v3 file: the seed's init with the stored rows put back."""
-    config.validate()
     E, M = config.feature_dim, config.hidden_dim
     rows, values = z["encoder.rows"], z["encoder.W_rows"]
     if rows.ndim != 1 or rows.dtype.kind not in "iu" or not (

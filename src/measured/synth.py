@@ -164,7 +164,7 @@ class SynthConfig:
     balanced: bool = True
     profiles: tuple[DimensionProfile, ...] = DEFAULT_PROFILES
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_examples <= 0:
             raise ValueError("n_examples must be positive")
         if not 0.0 <= self.ambiguity <= 1.0:
@@ -199,7 +199,6 @@ def _fill(template: str, rng, fillers) -> str:
 
 def generate_records(config: SynthConfig, registry: UnitRegistry) -> list[dict]:
     """Draw raw corpus records (the pre-ingestion schema) per the config."""
-    config.validate()
     rng = stream_rng(config.seed, "synth")
 
     resolved = {}

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -64,7 +65,7 @@ class TrainConfig:
     1e-4 and uniform weights; the selection metric is the variant
     record's ``selection_metric`` (macro-F1 for pure classifiers, log-mae
     for the pure number model, joint NLL otherwise).  Adam's ``betas`` and
-    ``eps`` are the :class:`AdamWState` defaults.
+    ``eps`` are :class:`AdamWState` constants.
     """
 
     batch_size: int = 200
@@ -154,8 +155,8 @@ class AdamWState:
     :func:`adamw_step` says where the rows come from.
     """
 
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
+    betas: ClassVar[tuple[float, float]] = (0.9, 0.999)
+    eps: ClassVar[float] = 1e-8
     weight_decay: float = 0.01
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)

@@ -376,9 +376,13 @@ def parse_registry(text: str, **kwargs) -> UnitRegistry:
 
 
 def load_registry(path) -> UnitRegistry:
-    """Load a registry from a UTF-8 text file."""
+    """Load a registry from a UTF-8 text file; an error names the file."""
     with open(path, encoding="utf-8") as f:
-        return parse_registry(f.read())
+        text = f.read()
+    try:
+        return parse_registry(text)
+    except RegistryError as err:
+        raise RegistryError(f"{path}: {err}") from None
 
 
 _DEFAULT_CACHE: UnitRegistry | None = None

@@ -129,6 +129,28 @@ class TestSynthIngestStats:
         assert err.startswith(f"measured: error: {raw}:2: Unterminated string")
         assert not out.exists()
 
+    def test_bad_registry_file_is_named(self, workdir, tmp_path, capsys):
+        registry = tmp_path / "bad.txt"
+        registry.write_text(
+            "dim length L1 M0 T0 I0 Θ0 N0 J0\n"
+            "# the canonical unit\n"
+            "unit m length scale=one offset=0\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "stats.json"
+        code, stdout, err = run(
+            [
+                "stats",
+                "--registry", str(registry),
+                "--data", str(workdir / "corpus.jsonl"),
+                "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 1 and stdout == ""
+        assert err == f"measured: error: {registry}: line 3: bad scale/offset decimal\n"
+        assert not out.exists()
+
     def test_stats_document(self, workdir, tmp_path, capsys):
         out = tmp_path / "stats.json"
         code, _, _ = run(
@@ -395,6 +417,32 @@ class TestTrainEval:
         assert err == "measured: error: --seeds must be >= 1\n"
         assert not out.exists()
 
+    def test_no_ngram_order_rejected_before_training(
+        self, tmp_path, workdir, capsys, monkeypatch
+    ):
+        from measured import experiments
+
+        def never(*args, **kwargs):
+            raise AssertionError("nothing may be trained")
+
+        monkeypatch.setattr(experiments, "train_variant", never)
+        out = tmp_path / "model.npz"
+        code, stdout, err = run(
+            [
+                "train",
+                "--data", str(workdir / "corpus.jsonl"),
+                "--word-ngrams", "",
+                "--char-ngrams", "",
+                "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 1 and stdout == ""
+        assert err == (
+            "measured: error: need at least one word or character n-gram order\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("variant", ["joint-unit", "dim", "number", "latent-dim"])
     def test_mixture_number_rejected_where_it_does_nothing(
         self, variant, tmp_path, workdir, capsys
@@ -644,6 +692,60 @@ class TestFewshot:
                     assert {"mean", "sd", "values"} <= set(cell)
         assert "majority" in doc["dimension_macro_f1"]
         assert "median" in doc["number_log_mae"]
+
+
+    def test_frozen_is_not_an_option(self, workdir, tmp_path, capsys):
+        """The grid always runs both regimes, so ``frozen`` is refused."""
+        corpus = str(workdir / "corpus.jsonl")
+        with pytest.raises(SystemExit) as exc:
+            main(["fewshot", "--data", corpus, "--frozen"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --frozen" in capsys.readouterr().err
+        config = tmp_path / "run.conf"
+        config.write_text("frozen=true\n")
+        out = tmp_path / "fewshot.json"
+        code, stdout, err = run(
+            ["fewshot", "--data", corpus, "--config", str(config), "--out", str(out)],
+            capsys,
+        )
+        assert code == 1 and stdout == ""
+        assert err == "measured: error: unknown config keys: frozen\n"
+        assert not out.exists()
+
+    def test_bad_selection_metric_fails_before_any_training(
+        self, workdir, tmp_path, capsys, monkeypatch
+    ):
+        """macro-f1 suits ``dim`` but not ``number``: no ``dim`` model trains."""
+        from measured import experiments
+
+        calls = []
+        train_variant = experiments.train_variant
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return train_variant(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "train_variant", spy)
+        out = tmp_path / "fewshot.json"
+        code, stdout, err = run(
+            [
+                "fewshot",
+                "--data", str(workdir / "corpus.jsonl"),
+                "--selection-metric", "macro-f1",
+                "--k", "5",
+                "--seeds", "2",
+                "--feature-dim", "256",
+                "--hidden-dim", "4",
+                "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 1 and stdout == ""
+        assert err == (
+            "measured: error: variant 'number' has no supervised D for macro-f1\n"
+        )
+        assert calls == []
+        assert not out.exists()
 
 
 class TestConfigFile:

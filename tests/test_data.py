@@ -276,12 +276,6 @@ class TestStats:
         assert s.median_tokens == 4
         assert s.median_characters == len("bb bb [#NUM] [#UNIT]")
 
-    def test_split_sections(self, reg):
-        records = generate_records(SynthConfig(n_examples=100, seed=1), reg)
-        sp = split(ingest(records, reg).examples, seed=0)
-        s = stats(sp)
-        assert s.split_sizes == {"train": 80, "val": 10, "test": 10}
-
     def test_json_document_round_trips(self, reg):
         records = generate_records(SynthConfig(n_examples=50, seed=1), reg)
         s = stats(ingest(records, reg).examples)

@@ -1,5 +1,4 @@
 import errno
-import io
 import mmap
 import tracemalloc
 
@@ -254,17 +253,45 @@ class TestEncoder:
             HashedNgramEncoder(config, seed=0, W_S=W[:32])
 
 
+class TestEncoderConfig:
+    """Every check runs when the config is built, before any encoder exists."""
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"feature_dim": 0}, "feature_dim and hidden_dim must be >= 1"),
+            ({"hidden_dim": 0}, "feature_dim and hidden_dim must be >= 1"),
+            ({"word_ngrams": (0, 2)}, "n-gram orders must be >= 1"),
+            ({"char_ngrams": (3, -1)}, "n-gram orders must be >= 1"),
+            (
+                {"word_ngrams": (), "char_ngrams": ()},
+                "need at least one word or character n-gram order",
+            ),
+        ],
+    )
+    def test_bad_config_fails_at_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            EncoderConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"word_ngrams": ()}, {"char_ngrams": ()}]
+    )
+    def test_one_kind_of_ngram_is_enough(self, kwargs):
+        fv = featurize("a runner covered [#NUM] [#UNIT]", EncoderConfig(**kwargs))
+        assert len(fv.indices) > 0
+
+
 class TestExport:
-    def test_tsv_shape_and_labels(self):
+    def test_tsv_shape_and_labels(self, tmp_path):
         reg = default_registry()
         examples = ingest(
             generate_records(SynthConfig(n_examples=5, seed=0), reg), reg
         ).examples
         enc = HashedNgramEncoder(EncoderConfig(feature_dim=128, hidden_dim=4), seed=0)
-        sink = io.StringIO()
+        sink = tmp_path / "embeddings.tsv"
         n = export_embeddings(enc, examples, sink)
         assert n == 5
-        lines = sink.getvalue().strip().split("\n")
+        lines = sink.read_text(encoding="utf-8").strip().split("\n")
         header = lines[0].split("\t")
         assert header == ["h_0", "h_1", "h_2", "h_3", "dimension", "unit", "exponent_bin"]
         assert len(lines) == 6

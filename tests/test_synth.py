@@ -110,6 +110,39 @@ def test_validation_rejects_bad_configs(reg):
         generate_records(SynthConfig(profiles=bad), reg)
 
 
+def _velocity(**changes):
+    """A one-profile tuple: the velocity profile with ``changes``."""
+    return (replace(DEFAULT_PROFILES[0], **changes),)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n_examples": 0}, "n_examples must be positive"),
+        ({"ambiguity": -0.1}, r"ambiguity must lie in \[0, 1\]"),
+        ({"ambiguity": 1.5}, r"ambiguity must lie in \[0, 1\]"),
+        ({"profiles": ()}, "at least one dimension profile required"),
+        ({"profiles": _velocity(templates=())}, "profile 'velocity' is empty"),
+        ({"profiles": _velocity(units=())}, "profile 'velocity' is empty"),
+        (
+            {"profiles": _velocity(units=(UnitProfile("mph", 0.0, -1.0),))},
+            "bad unit profile 'mph'",
+        ),
+        (
+            {"profiles": _velocity(units=(UnitProfile("mph", 0.0, 1.0, 0.0),))},
+            "bad unit profile 'mph'",
+        ),
+        (
+            {"profiles": _velocity(templates=("At [#NUM] and [#NUM] .",))},
+            "template needs one of each mask",
+        ),
+    ],
+)
+def test_bad_config_fails_at_construction(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SynthConfig(**kwargs)
+
+
 def test_unit_must_match_profile_dimension(reg):
     bad = (replace(DEFAULT_PROFILES[0], units=(UnitProfile("kg", 0.0, 0.2),)),)
     with pytest.raises(ValueError):

@@ -100,12 +100,18 @@ class TestAdamW:
         adamw_step(params, {"w": np.zeros((3, 2))}, state, lr=0.1)
         assert np.array_equal(params["w"], np.ones((3, 2)))
 
+    def test_betas_and_eps_are_constants(self):
+        for kwargs in ({"betas": (0.8, 0.99)}, {"eps": 1e-6}):
+            with pytest.raises(TypeError):
+                AdamWState(**kwargs)
+        assert AdamWState().betas == (0.9, 0.999) and AdamWState().eps == 1e-8
+
     def test_single_step_closed_form(self):
         """From zero moments the bias-corrected update is g / (|g| + eps)."""
         g = np.array([0.3, -2.0, 0.001])
         p0 = np.array([1.0, 1.0, 1.0])
         params = {"w": p0.copy()}
-        state = AdamWState(weight_decay=0.0, eps=1e-8)
+        state = AdamWState(weight_decay=0.0)
         adamw_step(params, {"w": g}, state, lr=0.01)
         expected = p0 - 0.01 * g / (np.abs(g) + 1e-8)
         assert np.allclose(params["w"], expected, rtol=1e-12)

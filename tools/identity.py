@@ -7,8 +7,11 @@ the best epoch and value, the ``evaluate()`` JSON, and, for variants with
 dimension, unit and number heads, the records ``measured predict`` writes.
 ``reloaded/W_S`` and ``reloaded/predict`` hash the same two artifacts of the
 model after ``save_model`` and ``load_model``, so the checkpoint path is
-covered too.  Two trees that hash equal behave bit for bit the same on these
-cases.
+covered too, and ``export`` hashes the TSV ``measured export`` writes from
+the saved checkpoint.  A shape that trains ``dim`` and ``number`` also runs
+the few-shot grid (k = 5, the shape's seed); ``fewshot`` hashes each
+variant and regime's row of the report with its baseline.  Two trees that
+hash equal behave bit for bit the same on these cases.
 
 Shapes: ``toy`` trains all seven variants, frozen and unfrozen, plus the
 mixture read-out of ``joint`` and ``dim-number`` (synth n=700 seed 21,
@@ -23,7 +26,9 @@ epoch).  Hashes depend on the BLAS build, so compare two trees on one host.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -33,15 +38,21 @@ from pathlib import Path
 import numpy as np
 
 from measured import data, evaluation, synth
+from measured.cli import main as measured_main
 from measured.cli import prediction_record
 from measured.encoding import EncoderConfig
-from measured.experiments import train_variant
+from measured.experiments import fewshot_grid, train_variant
 from measured.model import VARIANT_RECORDS, VARIANTS, load_model, save_model
 from measured.training import TrainConfig
 from measured.units import default_registry
 
 # the variants whose number read-out can be the dimension-mixture median
 MIXTURE_VARIANTS = tuple(v.name for v in VARIANT_RECORDS.values() if v.mixture_readout)
+# few-shot report rows: (variant, report table, baseline entry of that table)
+FEWSHOT_TABLES = (
+    ("dim", "dimension_macro_f1", "majority"),
+    ("number", "number_log_mae", "median"),
+)
 
 
 @dataclass(frozen=True)
@@ -89,9 +100,29 @@ def _cases(shape: Shape):
                 yield variant, frozen, True
 
 
+def _key(shape: Shape, variant: str, frozen: bool, mixture: bool) -> str:
+    return "/".join((
+        shape.name, variant, "frozen" if frozen else "trainable",
+        "mixture" if mixture else "plain",
+    ))
+
+
 def _predict_records(model, texts) -> list[dict]:
     """The records ``measured predict`` writes for the texts."""
     return [prediction_record(model, text) for text in texts]
+
+
+def _export_tsv(checkpoint: Path, corpus: Path) -> str:
+    """The TSV ``measured export`` writes for the checkpoint and corpus."""
+    tsv = checkpoint.with_suffix(".tsv")
+    argv = ["export", "--checkpoint", str(checkpoint), "--data", str(corpus),
+            "--out", str(tsv)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = measured_main(argv)
+    if code != 0:
+        raise RuntimeError(f"measured export failed: {err.getvalue()}")
+    return tsv.read_text(encoding="utf-8")
 
 
 def shape_hashes(shape: Shape) -> dict[str, str]:
@@ -109,11 +140,10 @@ def shape_hashes(shape: Shape) -> dict[str, str]:
     out = {}
     scratch = tempfile.TemporaryDirectory()
     checkpoint = Path(scratch.name) / "model.npz"
+    corpus = Path(scratch.name) / "corpus.jsonl"
+    data.write_jsonl(corpus, records)
     for variant, frozen, mixture in _cases(shape):
-        key = "/".join((
-            shape.name, variant, "frozen" if frozen else "trainable",
-            "mixture" if mixture else "plain",
-        ))
+        key = _key(shape, variant, frozen, mixture)
         encoder_config = EncoderConfig(
             feature_dim=shape.feature_dim, hidden_dim=shape.hidden_dim, frozen=frozen
         )
@@ -138,12 +168,24 @@ def shape_hashes(shape: Shape) -> dict[str, str]:
         del result
         save_model(model, checkpoint)
         del model  # one W_S at a time
+        out[f"{key}/export"] = _sha(_export_tsv(checkpoint, corpus))
         model = load_model(checkpoint, registry)
         out[f"{key}/reloaded/W_S"] = _sha(model.encoder.W_S)
         if full:
             out[f"{key}/reloaded/predict"] = _sha(_predict_records(model, texts))
         del model
     scratch.cleanup()
+    if {"dim", "number"} <= set(shape.variants):
+        encoder_config = EncoderConfig(
+            feature_dim=shape.feature_dim, hidden_dim=shape.hidden_dim
+        )
+        report = fewshot_grid(
+            split, registry, encoder_config, train_config, ks=(5,), seeds=(shape.seed,)
+        )
+        for variant, table, baseline in FEWSHOT_TABLES:
+            for regime, frozen in (("finetuned", False), ("frozen", True)):
+                row = [report[table][regime], report[table][baseline]]
+                out[f"{_key(shape, variant, frozen, False)}/fewshot"] = _sha(row)
     return out
 
 
