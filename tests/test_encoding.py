@@ -273,9 +273,7 @@ class TestEncoderConfig:
         with pytest.raises(ValueError, match=message):
             EncoderConfig(**kwargs)
 
-    @pytest.mark.parametrize(
-        "kwargs", [{"word_ngrams": ()}, {"char_ngrams": ()}]
-    )
+    @pytest.mark.parametrize("kwargs", [{"word_ngrams": ()}, {"char_ngrams": ()}])
     def test_one_kind_of_ngram_is_enough(self, kwargs):
         fv = featurize("a runner covered [#NUM] [#UNIT]", EncoderConfig(**kwargs))
         assert len(fv.indices) > 0
