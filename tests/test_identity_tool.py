@@ -38,6 +38,8 @@ def test_two_runs_in_one_process_hash_equal(identity, tiny):
     first = identity.shape_hashes(tiny)
     second = identity.shape_hashes(tiny)
     assert first == second
+    assert "tiny/stats" in first
+    first = {key: value for key, value in first.items() if key != "tiny/stats"}
     artifacts = {key.split("/", 4)[4] for key in first}
     assert {"W_S", "history", "evaluate", "predict", "head.W_U"} <= artifacts
     cases = {tuple(key.split("/")[1:4]) for key in first}

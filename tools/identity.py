@@ -8,7 +8,8 @@ dimension, unit and number heads, the records ``measured predict`` writes.
 ``reloaded/W_S`` and ``reloaded/predict`` hash the same two artifacts of the
 model after ``save_model`` and ``load_model``, so the checkpoint path is
 covered too, and ``export`` hashes the TSV ``measured export`` writes from
-the saved checkpoint.  A shape that trains ``dim`` and ``number`` also runs
+the saved checkpoint.  ``<shape>/stats`` hashes the JSON ``measured stats``
+writes for the shape's corpus.  A shape that trains ``dim`` and ``number`` also runs
 the few-shot grid (k = 5, the shape's seed); ``fewshot`` hashes each
 variant and regime's row of the report with its baseline.  Two trees that
 hash equal behave bit for bit the same on these cases.
@@ -112,17 +113,14 @@ def _predict_records(model, texts) -> list[dict]:
     return [prediction_record(model, text) for text in texts]
 
 
-def _export_tsv(checkpoint: Path, corpus: Path) -> str:
-    """The TSV ``measured export`` writes for the checkpoint and corpus."""
-    tsv = checkpoint.with_suffix(".tsv")
-    argv = ["export", "--checkpoint", str(checkpoint), "--data", str(corpus),
-            "--out", str(tsv)]
+def _cli_file(command: str, out: Path, *args: str) -> str:
+    """The file ``measured <command> ... --out out`` writes."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = measured_main(argv)
+        code = measured_main([command, *args, "--out", str(out)])
     if code != 0:
-        raise RuntimeError(f"measured export failed: {err.getvalue()}")
-    return tsv.read_text(encoding="utf-8")
+        raise RuntimeError(f"measured {command} failed: {err.getvalue()}")
+    return out.read_text(encoding="utf-8")
 
 
 def shape_hashes(shape: Shape) -> dict[str, str]:
@@ -142,6 +140,9 @@ def shape_hashes(shape: Shape) -> dict[str, str]:
     checkpoint = Path(scratch.name) / "model.npz"
     corpus = Path(scratch.name) / "corpus.jsonl"
     data.write_jsonl(corpus, records)
+    out[f"{shape.name}/stats"] = _sha(
+        _cli_file("stats", corpus.with_suffix(".json"), "--data", str(corpus))
+    )
     for variant, frozen, mixture in _cases(shape):
         key = _key(shape, variant, frozen, mixture)
         encoder_config = EncoderConfig(
@@ -168,7 +169,10 @@ def shape_hashes(shape: Shape) -> dict[str, str]:
         del result
         save_model(model, checkpoint)
         del model  # one W_S at a time
-        out[f"{key}/export"] = _sha(_export_tsv(checkpoint, corpus))
+        out[f"{key}/export"] = _sha(_cli_file(
+            "export", checkpoint.with_suffix(".tsv"),
+            "--checkpoint", str(checkpoint), "--data", str(corpus),
+        ))
         model = load_model(checkpoint, registry)
         out[f"{key}/reloaded/W_S"] = _sha(model.encoder.W_S)
         if full:
