@@ -241,11 +241,21 @@ def _check_resume_options(args, model: MeasurementModel) -> None:
         )
 
 
-def _load_examples(args, registry) -> list[data_mod.MeasurementExample]:
-    """Ingest the ``--data`` file, reporting dropped records on stderr."""
+def _load_examples(
+    args, registry, always_report: bool = False
+) -> list[data_mod.MeasurementExample]:
+    """Ingest the ``--data`` file.  The records kept and dropped, by reason,
+    go to stderr when any were dropped, or always if asked."""
     result = data_mod.ingest(data_mod.read_jsonl(args.data), registry)
-    if result.drops:
-        print(f"ingest drops: {dict(result.drops)}", file=sys.stderr)
+    if result.drops or always_report:
+        summary = ", ".join(
+            f"{reason}: {count}" for reason, count in sorted(result.drops.items())
+        )
+        print(
+            f"ingest: kept {result.kept}, dropped {result.dropped}"
+            + (f" ({summary})" if summary else ""),
+            file=sys.stderr,
+        )
     return result.examples
 
 
@@ -259,20 +269,9 @@ def _load_split(args, registry) -> data_mod.DatasetSplit:
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
-    registry = _load_registry(args)
-    result = data_mod.ingest(data_mod.read_jsonl(args.data), registry)
+    examples = _load_examples(args, _load_registry(args), always_report=True)
     out = args.out or "canonical.jsonl"
-    data_mod.write_jsonl(
-        out, (data_mod.example_to_record(ex) for ex in result.examples)
-    )
-    summary = ", ".join(
-        f"{reason}: {count}" for reason, count in sorted(result.drops.items())
-    )
-    print(
-        f"ingest: kept {result.kept}, dropped {result.dropped}"
-        + (f" ({summary})" if summary else ""),
-        file=sys.stderr,
-    )
+    data_mod.write_jsonl(out, (data_mod.example_to_record(ex) for ex in examples))
     return 0
 
 

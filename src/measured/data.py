@@ -18,7 +18,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence, TypeVar
 
 from measured.seeding import stream_rng
@@ -342,7 +342,7 @@ def lower_median(values: Sequence[float]) -> float:
 class CorpusStats:
     """Counts, per-class tallies, and base-10 exponent histograms."""
 
-    split_sizes: dict[str, int]
+    n_examples: int
     dimension_counts: dict[str, int]
     unit_counts: dict[str, int]
     exponent_hist_by_dimension: dict[str, dict[int, int]]
@@ -351,21 +351,15 @@ class CorpusStats:
     median_tokens: float
 
     def to_json_dict(self) -> dict:
-        def hist(h: dict[str, dict[int, int]]) -> dict:
-            return {
+        doc = asdict(self)
+        for key in ("dimension_counts", "unit_counts"):
+            doc[key] = dict(sorted(doc[key].items()))
+        for key in ("exponent_hist_by_dimension", "exponent_hist_by_unit"):
+            doc[key] = {
                 name: {str(b): c for b, c in sorted(bins.items())}
-                for name, bins in sorted(h.items())
+                for name, bins in sorted(doc[key].items())
             }
-
-        return {
-            "split_sizes": dict(self.split_sizes),
-            "dimension_counts": dict(sorted(self.dimension_counts.items())),
-            "unit_counts": dict(sorted(self.unit_counts.items())),
-            "exponent_hist_by_dimension": hist(self.exponent_hist_by_dimension),
-            "exponent_hist_by_unit": hist(self.exponent_hist_by_unit),
-            "median_characters": self.median_characters,
-            "median_tokens": self.median_tokens,
-        }
+        return doc
 
 
 def stats(examples: Sequence[MeasurementExample]) -> CorpusStats:
@@ -386,7 +380,7 @@ def stats(examples: Sequence[MeasurementExample]) -> CorpusStats:
         unit_hist.setdefault(ex.unit.name, Counter())[b] += 1
 
     return CorpusStats(
-        split_sizes={"all": len(examples)},
+        n_examples=len(examples),
         dimension_counts=dict(dim_counts),
         unit_counts=dict(unit_counts),
         exponent_hist_by_dimension={k: dict(v) for k, v in dim_hist.items()},

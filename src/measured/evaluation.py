@@ -6,8 +6,15 @@ prediction reports log-mae, the mean absolute error between base-10
 logarithms of predicted and true canonical values, which is invariant to
 the choice of canonical unit.
 
-The latent-dimension model is scored by building a contingency matrix of
-(latent class, true dimension) counts, solving the maximum-weight
+Scoring works in class ids, the registry's dimension and unit indices.
+Each classification section counts one confusion matrix with
+:func:`counts` and reads everything from it: the scores, the table of the
+classes that occur, the Manhattan histogram of dimension errors, and the
+per-dimension unit tables.  Grouped log-mae selects each class's examples
+by id.  Class names appear only where the report is written.
+
+The latent-dimension model is scored by counting a contingency matrix of
+(latent class, true dimension) pairs, solving the maximum-weight
 assignment between latent classes and dimensions, and applying that
 mapping before computing classification metrics.
 
@@ -18,18 +25,12 @@ record.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
-from measured.data import (
-    DatasetSplit,
-    MeasurementExample,
-    NonPositiveNumber,
-    lower_median,
-)
-from measured.model import MeasurementModel, MissingHead
-from measured.units import Dimension, UnitRegistry, manhattan_distance
+from measured.data import DatasetSplit, NonPositiveNumber, lower_median
+from measured.model import MeasurementModel, MissingHead, batch_arrays
+from measured.units import UnitRegistry
 
 
 class LengthMismatch(ValueError):
@@ -47,44 +48,88 @@ def _check_lengths(gold, pred) -> None:
 
 # -- classification metrics -----------------------------------------------------
 
-def confusion(gold, pred, classes) -> np.ndarray:
-    """Counts with entry (i, j) = #(gold = classes[i], pred = classes[j])."""
-    _check_lengths(gold, pred)
-    index = {c: i for i, c in enumerate(classes)}
-    matrix = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for g, p in zip(gold, pred):
-        matrix[index[g], index[p]] += 1
-    return matrix
+def counts(rows, cols, n: int) -> np.ndarray:
+    """(n, n) pair counts over class ids: entry (i, j) = #(rows = i, cols = j)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    _check_lengths(rows, cols)
+    return np.bincount(rows * n + cols, minlength=n * n).reshape(n, n)
+
+
+def _f1(cm: np.ndarray, tp: np.ndarray) -> np.ndarray:
+    """Per-class F1 of a confusion matrix; 0 for a class that never occurs."""
+    denom = cm.sum(axis=1) + cm.sum(axis=0)
+    f1 = np.zeros(len(cm))
+    nonzero = denom > 0
+    f1[nonzero] = 2.0 * tp[nonzero] / denom[nonzero]
+    return f1
 
 
 def macro_f1(gold, pred, classes) -> float:
     """Unweighted mean of per-class F1 over every declared class."""
-    cm = confusion(gold, pred, classes)
+    index = {c: i for i, c in enumerate(classes)}
+    cm = counts([index[g] for g in gold], [index[p] for p in pred], len(classes))
+    return float(_f1(cm, np.diag(cm).astype(float)).mean())
+
+
+def class_section(cm: np.ndarray, names) -> dict:
+    """Macro-F1, accuracy and macro-recall of a confusion matrix, and its table.
+
+    The macro means and the table cover the classes that occur as gold or
+    prediction; ``names[i]`` labels class id ``i``.
+    """
     tp = np.diag(cm).astype(float)
-    gold_counts = cm.sum(axis=1)
-    pred_counts = cm.sum(axis=0)
-    f1 = np.zeros(len(classes))
-    denom = gold_counts + pred_counts
-    nonzero = denom > 0
-    f1[nonzero] = 2.0 * tp[nonzero] / denom[nonzero]
-    return float(f1.mean())
+    gold = cm.sum(axis=1)
+    seen = np.flatnonzero(gold + cm.sum(axis=0))
+    recall = np.zeros(len(cm))
+    recall[gold > 0] = tp[gold > 0] / gold[gold > 0]
+    return {
+        "macro_f1": float(_f1(cm, tp)[seen].mean()),
+        "accuracy": int(np.trace(cm)) / int(gold.sum()),
+        "macro_recall": float(recall[seen].mean()),
+        "confusion": {
+            "labels": [names[i] for i in seen],
+            "matrix": cm[np.ix_(seen, seen)].tolist(),
+        },
+    }
 
 
-def macro_recall(gold, pred, classes) -> float:
-    cm = confusion(gold, pred, classes)
-    tp = np.diag(cm).astype(float)
-    gold_counts = cm.sum(axis=1)
-    recall = np.zeros(len(classes))
-    nonzero = gold_counts > 0
-    recall[nonzero] = tp[nonzero] / gold_counts[nonzero]
-    return float(recall.mean())
+def dimension_section(gold, pred, registry: UnitRegistry) -> dict:
+    """A dimension probe's section plus its Manhattan error histogram.
+
+    The histogram counts exponent-vector Manhattan distances between gold
+    and predicted dimensions; distance 0 collects the correct predictions.
+    """
+    dims = registry.dimensions
+    cm = counts(gold, pred, len(dims))
+    exponents = np.array([d.exponents for d in dims])
+    distance = np.abs(exponents[:, None] - exponents).sum(axis=2)
+    section = class_section(cm, [d.name for d in dims])
+    section["manhattan_histogram"] = {
+        str(d): int(cm[distance == d].sum()) for d in np.unique(distance[cm > 0])
+    }
+    return section
 
 
-def accuracy(gold, pred) -> float:
-    _check_lengths(gold, pred)
-    if len(gold) == 0:
-        return 0.0
-    return sum(g == p for g, p in zip(gold, pred)) / len(gold)
+def unit_section(gold_dims, gold, pred, registry: UnitRegistry) -> dict:
+    """A unit probe's section plus one unit table per gold dimension.
+
+    Each table is the block of the unit matrix over the dimension's units;
+    the predictions must lie in each example's gold dimension.
+    """
+    names = [u.name for u in registry.units]
+    cm = counts(gold, pred, len(names))
+    section = class_section(cm, names)
+    tables = {}
+    for di in np.unique(gold_dims):
+        dim = registry.dimensions[di]
+        members = [registry.unit_index(u) for u in registry.units_of(dim)]
+        tables[dim.name] = {
+            "labels": [names[i] for i in members],
+            "matrix": cm[np.ix_(members, members)].tolist(),
+        }
+    section["confusion_by_dimension"] = tables
+    return section
 
 
 # -- number metric ----------------------------------------------------------------
@@ -99,68 +144,13 @@ def log_mae(gold, pred) -> float:
     return float(np.mean(np.abs(np.log10(gold) - np.log10(pred))))
 
 
-def groupwise_log_mae(
-    examples: list[MeasurementExample],
-    pred,
-    group_by: str = "dimension",
-) -> dict[str, float]:
-    """log-mae restricted to each dimension or unit present in the examples."""
-    if group_by not in ("dimension", "unit"):
-        raise ValueError("group_by must be 'dimension' or 'unit'")
-    _check_lengths(examples, pred)
-    groups: dict[str, tuple[list, list]] = {}
-    for ex, p in zip(examples, pred):
-        key = ex.dimension.name if group_by == "dimension" else ex.unit.name
-        gold_list, pred_list = groups.setdefault(key, ([], []))
-        gold_list.append(ex.canonical_number)
-        pred_list.append(p)
-    return {k: log_mae(g, p) for k, (g, p) in sorted(groups.items())}
-
-
-# -- baselines ---------------------------------------------------------------------
-
-def majority_baseline(train_labels, classes=None):
-    """The constant classifier's label: most frequent, ties to lowest index."""
-    labels = list(train_labels)
-    if not labels:
-        raise ValueError("majority baseline needs a non-empty training set")
-    if classes is None:
-        classes = sorted(set(labels))
-    counts = {c: 0 for c in classes}
-    for lab in labels:
-        counts[lab] += 1
-    return max(classes, key=lambda c: (counts[c], -classes.index(c)))
-
-
-# -- dimension-structure analyses -----------------------------------------------------
-
-def manhattan_error_histogram(
-    gold_dims: list[Dimension], pred_dims: list[Dimension]
-) -> dict[int, int]:
-    """Counts of exponent-vector Manhattan distances, gold vs predicted.
-
-    Distance 0 collects the correct predictions; every example lands in
-    exactly one bucket.
-    """
-    _check_lengths(gold_dims, pred_dims)
-    hist: dict[int, int] = {}
-    for g, p in zip(gold_dims, pred_dims):
-        d = manhattan_distance(g, p)
-        hist[d] = hist.get(d, 0) + 1
-    return dict(sorted(hist.items()))
+def group_log_mae(gold, pred, ids, names) -> dict[str, float]:
+    """log-mae of each class present in ``ids``, keyed by name in name order."""
+    present = sorted(np.unique(ids), key=lambda i: names[i])
+    return {names[i]: log_mae(gold[ids == i], pred[ids == i]) for i in present}
 
 
 # -- latent-class assignment -----------------------------------------------------------
-
-def build_contingency(
-    latent: np.ndarray, gold: np.ndarray, n_classes: int
-) -> np.ndarray:
-    """Co-occurrence counts, rows = latent classes, columns = true classes."""
-    matrix = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for l, g in zip(latent, gold):
-        matrix[int(l), int(g)] += 1
-    return matrix
-
 
 def hungarian_map(contingency: np.ndarray) -> np.ndarray:
     """Bijection latent class -> true class maximizing matched counts.
@@ -200,33 +190,29 @@ class EvalReport:
         return asdict(self)
 
 
-def _classification_section(gold_names, pred_names, ordered_classes) -> dict:
-    observed = set(gold_names) | set(pred_names)
-    classes = [c for c in ordered_classes if c in observed]
-    cm = confusion(gold_names, pred_names, classes)
-    return {
-        "macro_f1": macro_f1(gold_names, pred_names, classes),
-        "accuracy": accuracy(gold_names, pred_names),
-        "macro_recall": macro_recall(gold_names, pred_names, classes),
-        "confusion": {"labels": classes, "matrix": cm.tolist()},
-    }
-
-
 def baselines(split: DatasetSplit, registry: UnitRegistry) -> dict:
     """The constant predictors fit on the train split, scored on the test split.
 
-    Majority class for dimension and unit, training lower median for the number.
+    Majority class for dimension and unit (ties to the lowest index),
+    training lower median for the number.
     """
+    if not split.test:
+        raise ValueError("test split is empty")
+    if not split.train:
+        raise ValueError("majority baseline needs a non-empty training set")
     report = {}
-    for key, classes, label in (
-        ("majority_dimension", registry.dimensions, attrgetter("dimension.name")),
-        ("majority_unit", registry.units, attrgetter("unit.name")),
+    for key, classes, class_id in (
+        ("majority_dimension", registry.dimensions,
+         lambda ex: registry.dimension_index(ex.dimension)),
+        ("majority_unit", registry.units, lambda ex: registry.unit_index(ex.unit)),
     ):
-        order = [c.name for c in classes]
-        majority = majority_baseline([label(ex) for ex in split.train], order)
-        gold = [label(ex) for ex in split.test]
-        section = _classification_section(gold, [majority] * len(gold), order)
-        report[key] = {"label": majority, **section}
+        n = len(classes)
+        train = np.array([class_id(ex) for ex in split.train])
+        gold = np.array([class_id(ex) for ex in split.test])
+        majority = int(np.argmax(np.bincount(train, minlength=n)))
+        cm = counts(gold, np.full(len(gold), majority), n)
+        section = class_section(cm, [c.name for c in classes])
+        report[key] = {"label": classes[majority].name, **section}
     median = lower_median([ex.canonical_number for ex in split.train])
     gold = [ex.canonical_number for ex in split.test]
     report["median_number"] = {
@@ -258,74 +244,43 @@ def evaluate(
 
     reg = model.registry
     test = list(split.test)
-    if not test:
-        raise ValueError("test split is empty")
     report = EvalReport(variant, len(split.train), len(test))
     report.baselines = baselines(split, reg)
 
-    dim_order = [d.name for d in reg.dimensions]
-    unit_order = [u.name for u in reg.units]
-    gold_dim_names = [ex.dimension.name for ex in test]
-    gold_unit_names = [ex.unit.name for ex in test]
+    dim_names = [d.name for d in reg.dimensions]
+    unit_names = [u.name for u in reg.units]
+    arrays = batch_arrays(model, test)
+    gold_di, gold_ui = arrays.dim_index, arrays.unit_index
     gold_numbers = np.array([ex.canonical_number for ex in test])
-
     X = model.encoder.feature_matrix([ex.masked_text for ex in test])
     out = model.outputs(model.encoder.encode_matrix(X))
-    gold_di = np.array([reg.dimension_index(ex.dimension) for ex in test])
-
-    def dim_section(pred_indices) -> dict:
-        pred_names = [reg.dimensions[int(i)].name for i in pred_indices]
-        section = _classification_section(gold_dim_names, pred_names, dim_order)
-        hist = manhattan_error_histogram(
-            [ex.dimension for ex in test],
-            [reg.dimensions[int(i)] for i in pred_indices],
-        )
-        section["manhattan_histogram"] = {str(k): v for k, v in hist.items()}
-        return section
 
     if "dim" in probes:
         pred = model.argmax_dimension_indices(out)
         if record.latent:  # map latent classes to gold ones before scoring
-            cont = build_contingency(pred, gold_di, len(reg.dimensions))
+            cont = counts(pred, gold_di, len(dim_names))
             mapping = hungarian_map(cont)
-            report.probes["dim"] = dim_section(mapping[pred])
-            report.probes["dim"]["contingency"] = cont.tolist()
-            report.probes["dim"]["latent_mapping"] = {
-                str(i): reg.dimensions[int(m)].name for i, m in enumerate(mapping)
+            section = dimension_section(gold_di, mapping[pred], reg)
+            section["contingency"] = cont.tolist()
+            section["latent_mapping"] = {
+                str(i): dim_names[m] for i, m in enumerate(mapping)
             }
         else:
-            report.probes["dim"] = dim_section(pred)
+            section = dimension_section(gold_di, pred, reg)
+        report.probes["dim"] = section
 
     if "dim-given-y" in probes:
         pred = np.argmax(model.posterior_dims(out, gold_numbers), axis=1)
-        report.probes["dim-given-y"] = dim_section(pred)
+        report.probes["dim-given-y"] = dimension_section(gold_di, pred, reg)
 
     if "unit" in probes:
-        pred_gold_cond = model.argmax_unit_indices_given(out, gold_di)
-        pred_names = [reg.units[int(i)].name for i in pred_gold_cond]
-        section = _classification_section(gold_unit_names, pred_names, unit_order)
-        per_dim = {}
-        for di in np.unique(gold_di):
-            rows = np.nonzero(gold_di == di)[0]
-            dim_name = reg.dimensions[int(di)].name
-            members = [u.name for u in reg.units_of(dim_name)]
-            cm = confusion(
-                [gold_unit_names[i] for i in rows],
-                [pred_names[i] for i in rows],
-                members,
-            )
-            per_dim[dim_name] = {"labels": members, "matrix": cm.tolist()}
-        section["confusion_by_dimension"] = per_dim
-        report.probes["unit"] = section
-
+        pred = model.argmax_unit_indices_given(out, gold_di)
+        report.probes["unit"] = unit_section(gold_di, gold_ui, pred, reg)
         if "D" in record.heads:
-            pred_di = model.argmax_dimension_indices(out)
-            pred_pred_cond = model.argmax_unit_indices_given(out, pred_di)
-            section = _classification_section(
-                gold_unit_names,
-                [reg.units[int(i)].name for i in pred_pred_cond],
-                unit_order,
+            pred = model.argmax_unit_indices_given(
+                out, model.argmax_dimension_indices(out)
             )
+            section = class_section(counts(gold_ui, pred, len(unit_names)), unit_names)
             section["extension"] = True  # not a paper probe: end-to-end pipeline
             report.probes["unit-given-predicted-dim"] = section
 
@@ -334,12 +289,11 @@ def evaluate(
         report.probes["num"] = {
             "log_mae": log_mae(gold_numbers, pred),
             "group_log_mae": {
-                "dimension": groupwise_log_mae(test, pred, "dimension"),
-                "unit": groupwise_log_mae(test, pred, "unit"),
+                "dimension": group_log_mae(gold_numbers, pred, gold_di, dim_names),
+                "unit": group_log_mae(gold_numbers, pred, gold_ui, unit_names),
             },
         }
         if record.given and not record.latent:
-            gold_ui = np.array([reg.unit_index(ex.unit) for ex in test])
             cols = model._columns_given(gold_di, gold_ui)
             gold_cond = 10.0 ** out.number[np.arange(len(test)), cols]
             report.probes[f"num-given-gold-{record.given}"] = {

@@ -66,8 +66,15 @@ def fewshot_grid(
     log-mae), next to the :func:`~measured.evaluation.baselines` of the
     whole split.  Returns a report keyed by regime and k with per-seed
     values and mean/sd.  The config is resolved for both variants before
-    any model trains, so a selection metric one cannot compute fails fast.
+    any model trains, so a selection metric one cannot compute fails fast,
+    as do a ``k`` below 1 and an encoder config with ``frozen`` set (the
+    grid sets it for each regime).
     """
+    if encoder_config.frozen:
+        raise ValueError("the few-shot grid runs both regimes; pass frozen=False")
+    for k in ks:
+        if k < 1:
+            raise ValueError(f"few-shot k must be >= 1, got {k}")
     # (report table, variant trained, probe scored, probe metric)
     tasks = (
         ("dimension_macro_f1", "dim", "dim", "macro_f1"),

@@ -32,6 +32,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from measured import evaluation
 from measured.data import DatasetSplit
 from measured.encoding import _small_page_zeros
 from measured.model import (
@@ -275,18 +276,16 @@ class TrainResult:
 
 
 def _val_metric(model, metric, out_val, arrays_val, val_examples) -> float:
-    from measured import evaluation  # local import; evaluation depends on model
-
     if metric == "joint-nll":
         loss, _, _ = _forward_backward(
             model, out_val, arrays_val, None, None, want_grads=False
         )
         return loss
     if metric == "macro-f1":
+        dims = model.registry.dimensions
         pred = model.argmax_dimension_indices(out_val)
-        gold = arrays_val.dim_index
-        classes = sorted(set(gold.tolist()) | set(pred.tolist()))
-        return evaluation.macro_f1(gold.tolist(), pred.tolist(), classes)
+        cm = evaluation.counts(arrays_val.dim_index, pred, len(dims))
+        return evaluation.class_section(cm, dims)["macro_f1"]
     if metric == "log-mae":
         pred = model.predict_number_batch(out_val)
         gold = np.array([ex.canonical_number for ex in val_examples])

@@ -159,7 +159,7 @@ class TestSynthIngestStats:
         )
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["split_sizes"] == {"all": 280}
+        assert doc["n_examples"] == 280
         assert set(doc["dimension_counts"]) == {
             "length", "mass", "time", "area", "velocity", "power", "temperature",
         }
@@ -607,7 +607,7 @@ class TestPredictExport:
             capsys,
         )
         assert code == 0
-        assert "ingest drops: {'negative': 1}" in err
+        assert "ingest: kept 3, dropped 1 (negative: 1)\n" in err
         assert len(out.read_text().splitlines()) == 1 + len(kept)
 
     def test_export_tsv(self, workdir, tmp_path, capsys):

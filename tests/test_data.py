@@ -249,7 +249,7 @@ class TestStats:
             reg,
         ).examples
         s = stats(examples)
-        assert s.split_sizes == {"all": 3}
+        assert s.n_examples == 3
         assert s.dimension_counts == {"length": 2, "time": 1}
         assert s.exponent_hist_by_dimension["length"] == {3: 1, 2: 1}
         assert s.exponent_hist_by_unit["km"] == {3: 1, 2: 1}
@@ -280,7 +280,7 @@ class TestStats:
         records = generate_records(SynthConfig(n_examples=50, seed=1), reg)
         s = stats(ingest(records, reg).examples)
         doc = json.loads(json.dumps(s.to_json_dict()))
-        assert doc["split_sizes"] == {"all": 50}
+        assert doc["n_examples"] == 50
 
 
 class TestLowerMedian:

@@ -1,29 +1,49 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from measured.data import NonPositiveNumber, ingest, lower_median, split
+from measured.data import (
+    DatasetSplit,
+    NonPositiveNumber,
+    ingest,
+    lower_median,
+    split,
+)
 from measured.encoding import EncoderConfig, HashedNgramEncoder
 from measured.evaluation import (
     LengthMismatch,
     NonSquare,
-    accuracy,
-    build_contingency,
-    confusion,
+    baselines,
+    counts,
+    dimension_section,
     evaluate,
-    groupwise_log_mae,
+    group_log_mae,
     hungarian_map,
     log_mae,
     macro_f1,
-    macro_recall,
-    majority_baseline,
-    manhattan_error_histogram,
+    unit_section,
 )
 from measured.model import MeasurementModel, MissingHead, ModelSpec
 from measured.synth import SynthConfig, generate_records
 from measured.training import TrainConfig, train
+from measured.units import manhattan_distance, parse_registry
+from tests.test_model import make_example
+
+LENGTH_THEN_TIME = """
+dim length L1 M0 T0 I0 Θ0 N0 J0
+dim time L0 M0 T1 I0 Θ0 N0 J0
+unit m length scale=1 offset=0
+unit s time scale=1 offset=0
+"""
+TIME_THEN_LENGTH = """
+dim time L0 M0 T1 I0 Θ0 N0 J0
+dim length L1 M0 T0 I0 Θ0 N0 J0
+unit s time scale=1 offset=0
+unit m length scale=1 offset=0
+"""
 
 
 @pytest.fixture(scope="module")
@@ -128,13 +148,31 @@ class TestLogMae:
             log_mae([1.0, -2.0], [1.0, 1.0])
 
 
+def unit_split(registry, train_units, test_units=("m",)):
+    """A split of examples with number 1 in the given units."""
+    def examples(units):
+        return [make_example(registry, "a [#NUM] [#UNIT]", 1.0, u) for u in units]
+    return DatasetSplit(examples(train_units), [], examples(test_units), 0)
+
+
 class TestBaselines:
-    def test_majority_simple(self):
-        assert majority_baseline(["a", "a", "a", "b", "b"]) == "a"
+    def test_majority_simple(self, registry):
+        base = baselines(unit_split(registry, ["m", "m", "m", "s", "s"]), registry)
+        assert base["majority_dimension"]["label"] == "length"
+        assert base["majority_unit"]["label"] == "m"
+        assert base["majority_dimension"]["accuracy"] == 1.0
 
     def test_majority_tie_takes_lowest_class_index(self):
-        assert majority_baseline(["b", "a"], classes=["a", "b"]) == "a"
-        assert majority_baseline(["b", "a"], classes=["b", "a"]) == "b"
+        for text, label in ((LENGTH_THEN_TIME, "length"), (TIME_THEN_LENGTH, "time")):
+            reg = parse_registry(text)
+            base = baselines(unit_split(reg, ["s", "m"]), reg)
+            assert base["majority_dimension"]["label"] == label
+
+    def test_empty_split_refused(self, registry):
+        with pytest.raises(ValueError, match="non-empty training set"):
+            baselines(unit_split(registry, []), registry)
+        with pytest.raises(ValueError, match="test split is empty"):
+            baselines(unit_split(registry, ["m"], []), registry)
 
     def test_median_odd(self):
         assert lower_median([1.0, 10.0, 100.0]) == 10.0
@@ -155,57 +193,66 @@ class TestBaselines:
 
 class TestConfusion:
     def test_perfect_is_diagonal(self):
-        cm = confusion(["a", "b", "b"], ["a", "b", "b"], ["a", "b"])
-        assert cm.tolist() == [[1, 0], [0, 2]]
+        assert counts([0, 1, 1], [0, 1, 1], 2).tolist() == [[1, 0], [0, 2]]
 
     def test_single_error_off_diagonal(self):
-        cm = confusion(["a"], ["b"], ["a", "b"])
-        assert cm.tolist() == [[0, 1], [0, 0]]
+        assert counts([0], [1], 2).tolist() == [[0, 1], [0, 0]]
 
     def test_row_sums_equal_gold_counts(self):
         rng = np.random.default_rng(5)
         gold = list(rng.integers(0, 3, size=100))
         pred = list(rng.integers(0, 3, size=100))
-        cm = confusion(gold, pred, [0, 1, 2])
+        cm = counts(gold, pred, 3)
         for c in (0, 1, 2):
             assert cm[c].sum() == gold.count(c)
 
 
+def histogram(registry, gold, pred):
+    return dimension_section(gold, pred, registry)["manhattan_histogram"]
+
+
 class TestManhattanHistogram:
     def test_all_correct_mass_at_zero(self, registry):
-        dims = [registry.dimension("length")] * 5
-        assert manhattan_error_histogram(dims, dims) == {0: 5}
+        length = registry.dimension_index("length")
+        assert histogram(registry, [length] * 5, [length] * 5) == {"0": 5}
 
     def test_velocity_confused_with_length(self, registry):
-        gold = [registry.dimension("velocity")]
-        pred = [registry.dimension("length")]
-        assert manhattan_error_histogram(gold, pred) == {1: 1}
+        gold = [registry.dimension_index("velocity")]
+        pred = [registry.dimension_index("length")]
+        assert histogram(registry, gold, pred) == {"1": 1}
 
     def test_total_counts(self, registry):
         rng = np.random.default_rng(6)
-        dims = list(registry.dimensions)
-        gold = [dims[i] for i in rng.integers(0, len(dims), size=40)]
-        pred = [dims[i] for i in rng.integers(0, len(dims), size=40)]
-        hist = manhattan_error_histogram(gold, pred)
-        assert sum(hist.values()) == 40
+        n = len(registry.dimensions)
+        gold = rng.integers(0, n, size=40)
+        pred = rng.integers(0, n, size=40)
+        assert sum(histogram(registry, gold, pred).values()) == 40
+
+
+def number_arrays(registry, examples, pred):
+    """Gold numbers, predictions and dimension and unit ids of the examples."""
+    return (
+        np.array([ex.canonical_number for ex in examples]),
+        np.asarray(pred, dtype=float),
+        np.array([registry.dimension_index(ex.dimension) for ex in examples]),
+        np.array([registry.unit_index(ex.unit) for ex in examples]),
+    )
 
 
 class TestGroupwiseLogMae:
     def test_single_group_equals_global(self, registry, corpus):
         examples = [ex for ex in corpus.test if ex.dimension.name == "length"][:10]
         pred = [ex.canonical_number * 10 for ex in examples]
-        table = groupwise_log_mae(examples, pred, "dimension")
+        gold, pred, dims, _ = number_arrays(registry, examples, pred)
+        table = group_log_mae(gold, pred, dims, [d.name for d in registry.dimensions])
         assert set(table) == {"length"}
-        assert table["length"] == pytest.approx(
-            log_mae([ex.canonical_number for ex in examples], pred)
-        )
+        assert table["length"] == pytest.approx(log_mae(gold, pred))
 
     def test_two_singleton_groups(self, registry):
-        from tests.test_model import make_example
-
         a = make_example(registry, "a [#NUM] [#UNIT]", 1.0, "m")
         b = make_example(registry, "b [#NUM] [#UNIT]", 1.0, "s")
-        table = groupwise_log_mae([a, b], [1.0, 100.0], "dimension")
+        gold, pred, dims, _ = number_arrays(registry, [a, b], [1.0, 100.0])
+        table = group_log_mae(gold, pred, dims, [d.name for d in registry.dimensions])
         assert table["length"] == pytest.approx(0.0)
         assert table["time"] == pytest.approx(2.0)
         assert log_mae([1.0, 1.0], [1.0, 100.0]) == pytest.approx(1.0)
@@ -216,13 +263,11 @@ class TestGroupwiseLogMae:
         pred = np.array([ex.canonical_number for ex in examples]) * 10 ** rng.normal(
             size=len(examples)
         )
-        table = groupwise_log_mae(examples, pred, "unit")
-        counts = {}
-        for ex in examples:
-            counts[ex.unit.name] = counts.get(ex.unit.name, 0) + 1
-        recombined = sum(table[u] * counts[u] for u in table) / len(examples)
-        global_value = log_mae([ex.canonical_number for ex in examples], pred)
-        assert recombined == pytest.approx(global_value, rel=1e-12)
+        gold, pred, _, units = number_arrays(registry, examples, pred)
+        table = group_log_mae(gold, pred, units, [u.name for u in registry.units])
+        sizes = Counter(ex.unit.name for ex in examples)
+        recombined = sum(table[u] * sizes[u] for u in table) / len(examples)
+        assert recombined == pytest.approx(log_mae(gold, pred), rel=1e-12)
 
 
 class TestHungarian:
@@ -267,11 +312,117 @@ class TestHungarian:
         gold = rng.integers(0, 5, size=200)
         perm = np.array([3, 0, 4, 1, 2])
         latent = perm[gold]
-        cont = build_contingency(latent, gold, 5)
+        cont = counts(latent, gold, 5)
         assert cont.sum() == 200
         mapping = hungarian_map(cont)
         mapped = mapping[latent]
         assert macro_f1(gold.tolist(), mapped.tolist(), list(range(5))) == 1.0
+
+
+def label_section(gold, pred, order):
+    """Per-example loop over labels: scores and table of the classes that occur."""
+    classes = [c for c in order if c in set(gold) | set(pred)]
+    pairs = list(zip(gold, pred))
+    f1, recall = [], []
+    for c in classes:
+        tp = pairs.count((c, c))
+        f1.append(2 * tp / (gold.count(c) + pred.count(c)))
+        recall.append(tp / gold.count(c) if c in gold else 0.0)
+    return {
+        "macro_f1": sum(f1) / len(f1),
+        "accuracy": sum(g == p for g, p in pairs) / len(pairs),
+        "macro_recall": sum(recall) / len(recall),
+        "confusion": {
+            "labels": classes,
+            "matrix": [[pairs.count((a, b)) for b in classes] for a in classes],
+        },
+    }
+
+
+class TestIdSectionsMatchLabelLoop:
+    """The id-based sections against per-example loops over class names.
+
+    Gold ids come from the lower classes and predictions from the upper
+    ones, so some declared classes are absent and some only predicted.
+    """
+
+    @pytest.fixture(params=[0, 1, 2])
+    def rng(self, request):
+        return np.random.default_rng(request.param)
+
+    def check(self, section, gold, pred, order):
+        expected = label_section(gold, pred, order)
+        assert section["confusion"] == expected["confusion"]
+        for key in ("macro_f1", "accuracy", "macro_recall"):
+            assert section[key] == pytest.approx(expected[key], rel=1e-12), key
+
+    def test_dimension_section(self, registry, rng):
+        dims = registry.dimensions
+        gold = rng.integers(0, 4, size=80)
+        pred = rng.integers(2, 6, size=80)
+        section = dimension_section(gold, pred, registry)
+        gold_dims = [dims[i] for i in gold]
+        pred_dims = [dims[i] for i in pred]
+        names = [d.name for d in dims]
+        gold_names = [d.name for d in gold_dims]
+        self.check(section, gold_names, [d.name for d in pred_dims], names)
+        labels = section["confusion"]["labels"]
+        assert names[5] in labels and names[len(dims) - 1] not in labels
+        distances = Counter(map(manhattan_distance, gold_dims, pred_dims))
+        assert section["manhattan_histogram"] == {
+            str(d): c for d, c in sorted(distances.items())
+        }
+
+    def test_unit_section(self, registry, rng):
+        units = registry.units
+        gold_dims = rng.integers(0, 4, size=80)
+        gold, pred = [], []  # predictions stay within the gold dimension
+        for di in gold_dims:
+            dim = registry.dimensions[di]
+            members = [registry.unit_index(u) for u in registry.units_of(dim)]
+            gold.append(rng.choice(members[:2]))
+            pred.append(rng.choice(members))
+        section = unit_section(gold_dims, gold, pred, registry)
+        dims = registry.dimensions
+        gold_names = [units[i].name for i in gold]
+        pred_names = [units[i].name for i in pred]
+        self.check(section, gold_names, pred_names, [u.name for u in units])
+        tables = {}
+        for dim in dims:
+            rows = [i for i, di in enumerate(gold_dims) if dims[di] == dim]
+            if rows:
+                members = [u.name for u in registry.units_of(dim)]
+                tables[dim.name] = {
+                    "labels": members,
+                    "matrix": [
+                        [sum(gold_names[i] == a and pred_names[i] == b for i in rows)
+                         for b in members]
+                        for a in members
+                    ],
+                }
+        assert section["confusion_by_dimension"] == tables
+        assert list(section["confusion_by_dimension"]) == list(tables)
+
+    def test_group_log_mae(self, registry, rng):
+        units = [u.name for u in registry.units]
+        ids = rng.integers(0, len(units) // 2, size=80)
+        gold = 10.0 ** rng.uniform(-3, 3, size=80)
+        pred = 10.0 ** rng.uniform(-3, 3, size=80)
+        groups = {}
+        for i, g, p in zip(ids, gold, pred):
+            gold_list, pred_list = groups.setdefault(units[i], ([], []))
+            gold_list.append(g)
+            pred_list.append(p)
+        table = group_log_mae(gold, pred, ids, units)
+        assert list(table) == sorted(groups)
+        assert table == {k: log_mae(g, p) for k, (g, p) in groups.items()}
+
+    def test_contingency_rows_are_latent_classes(self, rng):
+        latent = rng.integers(0, 5, size=60)
+        gold = rng.integers(1, 6, size=60)
+        cont = counts(latent, gold, 6)
+        for i, j in itertools.product(range(6), repeat=2):
+            assert cont[i, j] == sum(l == i and g == j for l, g in zip(latent, gold))
 
 
 class TestEvaluate:
@@ -334,9 +485,9 @@ class TestEvaluate:
             out = model.outputs(h[None])
             post = model.posterior_dims(out, [ex.canonical_number])[0]
             pred.append(registry.dimensions[int(np.argmax(post))].name)
-        labels = section["confusion"]["labels"]
         gold = [ex.dimension.name for ex in corpus.test]
-        assert section["confusion"]["matrix"] == confusion(gold, pred, labels).tolist()
+        names = [d.name for d in registry.dimensions]
+        assert section["confusion"] == label_section(gold, pred, names)["confusion"]
 
     def test_gold_conditioning_included_for_dim_number(self, registry, corpus):
         model = quick_model(registry, corpus, "dim-number", epochs=2)

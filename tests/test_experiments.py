@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from measured import encoding
+from measured import encoding, experiments
 from measured.data import DatasetSplit, fewshot_sample, ingest, split
 from measured.encoding import EncoderConfig
 from measured.evaluation import evaluate
@@ -76,3 +76,23 @@ def test_unusable_selection_metric_refused_before_the_draw(
     config = replace(TRAIN, selection_metric="macro-f1")
     with pytest.raises(ValueError, match="no supervised D for macro-f1"):
         train_variant("number", corpus, registry, ENCODER, config, 0)
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model trained before the inputs were checked")
+
+    monkeypatch.setattr(experiments, "train_variant", refuse)
+
+
+def test_frozen_encoder_config_refused(corpus, registry, no_training):
+    frozen = replace(ENCODER, frozen=True)
+    with pytest.raises(ValueError, match="runs both regimes; pass frozen=False"):
+        fewshot_grid(corpus, registry, frozen, TRAIN, ks=KS, seeds=SEEDS)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_refused(k, corpus, registry, no_training):
+    with pytest.raises(ValueError, match=f"few-shot k must be >= 1, got {k}"):
+        fewshot_grid(corpus, registry, ENCODER, TRAIN, ks=(2, k), seeds=SEEDS)
