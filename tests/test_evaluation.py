@@ -374,16 +374,14 @@ class TestIdSectionsMatchLabelLoop:
         }
 
     def test_unit_section(self, registry, rng):
-        units = registry.units
+        dims, units = registry.dimensions, registry.units
         gold_dims = rng.integers(0, 4, size=80)
         gold, pred = [], []  # predictions stay within the gold dimension
         for di in gold_dims:
-            dim = registry.dimensions[di]
-            members = [registry.unit_index(u) for u in registry.units_of(dim)]
+            members = [registry.unit_index(u) for u in registry.units_of(dims[di])]
             gold.append(rng.choice(members[:2]))
             pred.append(rng.choice(members))
         section = unit_section(gold_dims, gold, pred, registry)
-        dims = registry.dimensions
         gold_names = [units[i].name for i in gold]
         pred_names = [units[i].name for i in pred]
         self.check(section, gold_names, pred_names, [u.name for u in units])
