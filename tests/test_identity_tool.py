@@ -41,7 +41,9 @@ def test_two_runs_in_one_process_hash_equal(identity, tiny):
     assert "tiny/stats" in first
     first = {key: value for key, value in first.items() if key != "tiny/stats"}
     artifacts = {key.split("/", 4)[4] for key in first}
-    assert {"W_S", "history", "evaluate", "predict", "head.W_U"} <= artifacts
+    assert {
+        "W_S", "history", "val_joint_nll", "evaluate", "predict", "head.W_U"
+    } <= artifacts
     cases = {tuple(key.split("/")[1:4]) for key in first}
     assert len(cases) == 7 * 2 + 2 * 2  # every variant, frozen or not, + mixture
     assert ("joint", "frozen", "mixture") in cases

@@ -5,6 +5,8 @@ and writes one sha256 per (shape, variant, frozen, mixture flag, artifact)
 to JSON.  The artifacts are each trained head and ``W_S``, the history with
 the best epoch and value, the ``evaluate()`` JSON, and, for variants with
 dimension, unit and number heads, the records ``measured predict`` writes.
+``val_joint_nll`` hashes ``training.batch_loss`` on the validation split,
+the value the benchmark reports under that name.
 ``reloaded/W_S`` and ``reloaded/predict`` hash the same two artifacts of the
 model after ``save_model`` and ``load_model``, so the checkpoint path is
 covered too, and ``export`` hashes the TSV ``measured export`` writes from
@@ -38,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from measured import data, evaluation, synth
+from measured import data, evaluation, synth, training
 from measured.cli import main as measured_main
 from measured.cli import prediction_record
 from measured.encoding import EncoderConfig
@@ -162,6 +164,7 @@ def shape_hashes(shape: Shape) -> dict[str, str]:
             "best_value": result.best_value,
             "selection_metric": result.selection_metric,
         })
+        out[f"{key}/val_joint_nll"] = _sha(training.batch_loss(model, split.val))
         out[f"{key}/evaluate"] = _sha(evaluation.evaluate(model, split).to_json_dict())
         full = set(VARIANT_RECORDS[variant].heads) == {"D", "U", "Y"}
         if full:
