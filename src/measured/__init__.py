@@ -20,13 +20,7 @@ from measured.data import (
     tokenize,
 )
 from measured.encoding import EncoderConfig, HashedNgramEncoder, export_embeddings
-from measured.evaluation import (
-    EvalReport,
-    evaluate,
-    hungarian_map,
-    log_mae,
-    macro_f1,
-)
+from measured.evaluation import EvalReport, evaluate, hungarian_map, log_mae
 from measured.model import (
     MeasurementModel,
     ModelSpec,

@@ -1,12 +1,13 @@
 """Metrics, baselines, and the probing harness.
 
-Classification tasks report strict macro-F1 (every declared class counts,
-even if never predicted), accuracy, and macro-recall side by side; number
+Classification tasks report macro-F1 and macro-recall, each averaged over
+the classes that occur as gold or as a prediction, and accuracy; number
 prediction reports log-mae, the mean absolute error between base-10
 logarithms of predicted and true canonical values, which is invariant to
 the choice of canonical unit.
 
-Scoring works in class ids, the registry's dimension and unit indices.
+Scoring works in class ids, the registry's dimension and unit indices, and
+reads gold ids and numbers from :func:`~measured.model.batch_arrays`.
 Each classification section counts one confusion matrix with
 :func:`counts` and reads everything from it: the scores, the table of the
 classes that occur, the Manhattan histogram of dimension errors, and the
@@ -30,7 +31,7 @@ import numpy as np
 
 from measured.data import DatasetSplit, NonPositiveNumber, lower_median
 from measured.model import MeasurementModel, MissingHead, batch_arrays
-from measured.units import UnitRegistry
+from measured.units import UnitRegistry, manhattan_distance
 
 
 class LengthMismatch(ValueError):
@@ -65,13 +66,6 @@ def _f1(cm: np.ndarray, tp: np.ndarray) -> np.ndarray:
     return f1
 
 
-def macro_f1(gold, pred, classes) -> float:
-    """Unweighted mean of per-class F1 over every declared class."""
-    index = {c: i for i, c in enumerate(classes)}
-    cm = counts([index[g] for g in gold], [index[p] for p in pred], len(classes))
-    return float(_f1(cm, np.diag(cm).astype(float)).mean())
-
-
 def class_section(cm: np.ndarray, names) -> dict:
     """Macro-F1, accuracy and macro-recall of a confusion matrix, and its table.
 
@@ -102,8 +96,7 @@ def dimension_section(gold, pred, registry: UnitRegistry) -> dict:
     """
     dims = registry.dimensions
     cm = counts(gold, pred, len(dims))
-    exponents = np.array([d.exponents for d in dims])
-    distance = np.abs(exponents[:, None] - exponents).sum(axis=2)
+    distance = np.array([[manhattan_distance(g, p) for p in dims] for g in dims])
     section = class_section(cm, [d.name for d in dims])
     section["manhattan_histogram"] = {
         str(d): int(cm[distance == d].sum()) for d in np.unique(distance[cm > 0])
@@ -200,21 +193,20 @@ def baselines(split: DatasetSplit, registry: UnitRegistry) -> dict:
         raise ValueError("test split is empty")
     if not split.train:
         raise ValueError("majority baseline needs a non-empty training set")
+    train = batch_arrays(registry, split.train)
+    test = batch_arrays(registry, split.test)
     report = {}
-    for key, classes, class_id in (
-        ("majority_dimension", registry.dimensions,
-         lambda ex: registry.dimension_index(ex.dimension)),
-        ("majority_unit", registry.units, lambda ex: registry.unit_index(ex.unit)),
+    for key, classes, train_ids, gold in (
+        ("majority_dimension", registry.dimensions, train.dim_index, test.dim_index),
+        ("majority_unit", registry.units, train.unit_index, test.unit_index),
     ):
         n = len(classes)
-        train = np.array([class_id(ex) for ex in split.train])
-        gold = np.array([class_id(ex) for ex in split.test])
-        majority = int(np.argmax(np.bincount(train, minlength=n)))
+        majority = int(np.argmax(np.bincount(train_ids, minlength=n)))
         cm = counts(gold, np.full(len(gold), majority), n)
         section = class_section(cm, [c.name for c in classes])
         report[key] = {"label": classes[majority].name, **section}
-    median = lower_median([ex.canonical_number for ex in split.train])
-    gold = [ex.canonical_number for ex in split.test]
+    median = float(lower_median(train.canonical_number))
+    gold = test.canonical_number
     report["median_number"] = {
         "value": median,
         "log_mae": log_mae(gold, np.full(len(gold), median)),
@@ -249,9 +241,9 @@ def evaluate(
 
     dim_names = [d.name for d in reg.dimensions]
     unit_names = [u.name for u in reg.units]
-    arrays = batch_arrays(model, test)
+    arrays = batch_arrays(reg, test)
     gold_di, gold_ui = arrays.dim_index, arrays.unit_index
-    gold_numbers = np.array([ex.canonical_number for ex in test])
+    gold_numbers = arrays.canonical_number
     X = model.encoder.feature_matrix([ex.masked_text for ex in test])
     out = model.outputs(model.encoder.encode_matrix(X))
 

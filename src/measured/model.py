@@ -241,22 +241,15 @@ class MeasurementModel:
         m = spec.hidden_dim
         rng = stream_rng(seed, "head-init", spec.variant)
         bound = 1.0 / math.sqrt(m)
+        width = {
+            "D": len(registry.dimensions),
+            "U": len(registry.units),
+            "Y": spec.number_columns(registry),
+        }
         self.params: dict[str, np.ndarray] = {}
-        heads = spec.record.heads
-        if "D" in heads:
-            self.params["W_D"] = rng.uniform(
-                -bound, bound, size=(m, len(registry.dimensions))
-            )
-            self.params["b_D"] = np.zeros(len(registry.dimensions))
-        if "U" in heads:
-            self.params["W_U"] = rng.uniform(
-                -bound, bound, size=(m, len(registry.units))
-            )
-            self.params["b_U"] = np.zeros(len(registry.units))
-        if "Y" in heads:
-            cols = spec.number_columns(registry)
-            self.params["W_Y"] = rng.uniform(-bound, bound, size=(m, cols))
-            self.params["b_Y"] = np.zeros(cols)
+        for head in spec.record.heads:  # drawn in D, U, Y order
+            self.params[f"W_{head}"] = rng.uniform(-bound, bound, size=(m, width[head]))
+            self.params[f"b_{head}"] = np.zeros(width[head])
 
     # -- parameter plumbing ---------------------------------------------------
 
@@ -411,21 +404,30 @@ class MeasurementModel:
 
 @dataclass
 class BatchArrays:
-    """Precomputed per-example index/target arrays for a fixed corpus."""
+    """The gold ids and targets of a list of examples, one row per example."""
 
     dim_index: np.ndarray
     unit_index: np.ndarray
     log10_target: np.ndarray
+    canonical_number: np.ndarray
+
+    def take(self, idx) -> "BatchArrays":
+        """The rows ``idx`` of every field."""
+        return BatchArrays(*(getattr(self, f.name)[idx] for f in fields(self)))
 
 
-def batch_arrays(model: MeasurementModel, examples) -> BatchArrays:
-    reg = model.registry
+def batch_arrays(registry: UnitRegistry, examples) -> BatchArrays:
+    """Each example's gold dimension and unit ids, canonical number, and its log10.
+
+    The one place an example becomes gold ids and targets.  The log10 is
+    ``math.log10`` per example: numpy's vectorized one may differ in the
+    last bit, and the loss reads it.
+    """
     return BatchArrays(
-        dim_index=np.array([reg.dimension_index(ex.dimension) for ex in examples]),
-        unit_index=np.array([reg.unit_index(ex.unit) for ex in examples]),
-        log10_target=np.array(
-            [math.log10(ex.canonical_number) for ex in examples]
-        ),
+        dim_index=np.array([registry.dimension_index(ex.dimension) for ex in examples]),
+        unit_index=np.array([registry.unit_index(ex.unit) for ex in examples]),
+        log10_target=np.array([math.log10(ex.canonical_number) for ex in examples]),
+        canonical_number=np.array([ex.canonical_number for ex in examples]),
     )
 
 

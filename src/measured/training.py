@@ -20,7 +20,10 @@ momentum; the heads take the dense step.  Early stopping watches the
 variant's validation metric and restores the parameters of the best
 epoch, not the last.  A non-finite batch loss or validation metric stops
 training with :class:`NonFiniteLoss`.  Given the same config, seeds, and
-data, training is bit-reproducible.
+data, training gives the same bits on one host with one numpy and BLAS
+build, at any BLAS thread count.  They change with the BLAS kernel: one
+``joint`` config trained different parameters under OpenBLAS's Haswell,
+Sandybridge and Prescott kernels.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from measured.data import DatasetSplit
 from measured.encoding import _small_page_zeros
 from measured.model import (
     VARIANT_RECORDS,
+    BatchArrays,
     MeasurementModel,
     _forward_backward,
     batch_arrays,
@@ -227,24 +231,21 @@ def adamw_step(
 
 def gradients(
     model: MeasurementModel,
-    examples,
-    X=None,
+    X,
+    arrays: BatchArrays,
     *,
     dim_weights: np.ndarray | None = None,
     unit_weights: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean joint loss and gradients for every trainable parameter.
 
-    ``X`` is the batch feature matrix (built from the examples' text when
-    omitted).  The encoder projection gradient is included unless the
+    ``X`` is the batch feature matrix and ``arrays`` its rows' gold ids and
+    targets.  The encoder projection gradient is included unless the
     encoder is frozen; it is a view of the encoder's one gradient buffer,
     which the next call overwrites, so train one encoder from one thread.
     Its ``rows`` spare :func:`adamw_step` a scan of the whole buffer; an
     array derived from it has none.
     """
-    if X is None:
-        X = model.encoder.feature_matrix([ex.masked_text for ex in examples])
-    arrays = batch_arrays(model, examples)
     out = model.outputs(model.encoder.encode_matrix(X))
     loss, grads, dH = _forward_backward(
         model, out, arrays, dim_weights, unit_weights, want_grads=True
@@ -258,9 +259,8 @@ def batch_loss(model: MeasurementModel, examples) -> float:
     """Mean unweighted joint loss of ``examples`` (no gradients)."""
     X = model.encoder.feature_matrix([ex.masked_text for ex in examples])
     out = model.outputs(model.encoder.encode_matrix(X))
-    loss, _, _ = _forward_backward(
-        model, out, batch_arrays(model, examples), None, None, want_grads=False
-    )
+    arrays = batch_arrays(model.registry, examples)
+    loss, _, _ = _forward_backward(model, out, arrays, None, None, want_grads=False)
     return loss
 
 
@@ -275,21 +275,18 @@ class TrainResult:
     selection_metric: str
 
 
-def _val_metric(model, metric, out_val, arrays_val, val_examples) -> float:
+def _val_metric(model, metric, out, arrays) -> float:
     if metric == "joint-nll":
-        loss, _, _ = _forward_backward(
-            model, out_val, arrays_val, None, None, want_grads=False
-        )
+        loss, _, _ = _forward_backward(model, out, arrays, None, None, want_grads=False)
         return loss
     if metric == "macro-f1":
         dims = model.registry.dimensions
-        pred = model.argmax_dimension_indices(out_val)
-        cm = evaluation.counts(arrays_val.dim_index, pred, len(dims))
+        pred = model.argmax_dimension_indices(out)
+        cm = evaluation.counts(arrays.dim_index, pred, len(dims))
         return evaluation.class_section(cm, dims)["macro_f1"]
     if metric == "log-mae":
-        pred = model.predict_number_batch(out_val)
-        gold = np.array([ex.canonical_number for ex in val_examples])
-        return evaluation.log_mae(gold, pred)
+        pred = model.predict_number_batch(out)
+        return evaluation.log_mae(arrays.canonical_number, pred)
     raise ValueError(f"unknown selection metric {metric!r}")
 
 
@@ -325,8 +322,8 @@ def train(
         val_ex = train_ex
     X_train = model.encoder.feature_matrix([ex.masked_text for ex in train_ex])
     X_val = model.encoder.feature_matrix([ex.masked_text for ex in val_ex])
-    arrays_train = batch_arrays(model, train_ex)
-    arrays_val = batch_arrays(model, val_ex)
+    arrays_train = batch_arrays(model.registry, train_ex)
+    arrays_val = batch_arrays(model.registry, val_ex)
 
     dim_weights = unit_weights = None
     if config.weighting == "log-frequency":
@@ -365,8 +362,8 @@ def train(
             idx = order[start : start + config.batch_size]
             loss, grads = gradients(
                 model,
-                [train_ex[i] for i in idx],
                 X_train[idx],
+                arrays_train.take(idx),
                 dim_weights=dim_weights,
                 unit_weights=unit_weights,
             )
@@ -380,7 +377,7 @@ def train(
             n_batches += 1
 
         out_val = model.outputs(model.encoder.encode_matrix(X_val))
-        value = _val_metric(model, metric, out_val, arrays_val, val_ex)
+        value = _val_metric(model, metric, out_val, arrays_val)
         if not math.isfinite(value):
             raise NonFiniteLoss(
                 f"epoch {epoch}, step {step}: validation {metric} is {value}"

@@ -17,13 +17,13 @@ from measured.evaluation import (
     LengthMismatch,
     NonSquare,
     baselines,
+    class_section,
     counts,
     dimension_section,
     evaluate,
     group_log_mae,
     hungarian_map,
     log_mae,
-    macro_f1,
     unit_section,
 )
 from measured.model import MeasurementModel, MissingHead, ModelSpec
@@ -84,45 +84,40 @@ def gold_column_log_mae(model, examples, given):
     return log_mae([ex.canonical_number for ex in examples], pred)
 
 
+def section_macro_f1(gold, pred, n):
+    """``class_section``'s macro-F1 of gold and predicted ids in [0, n)."""
+    return class_section(counts(gold, pred, n), list(range(n)))["macro_f1"]
+
+
 class TestMacroF1:
     def test_perfect(self):
-        assert macro_f1(["a", "b", "a"], ["a", "b", "a"], ["a", "b"]) == 1.0
+        assert section_macro_f1([0, 1, 0], [0, 1, 0], 2) == 1.0
 
     def test_all_wrong_single_class_on_balanced_pair(self):
-        gold = ["a", "b", "a", "b"]
-        pred = ["b", "a", "b", "a"]
-        assert macro_f1(gold, pred, ["a", "b"]) == 0.0
+        assert section_macro_f1([0, 1, 0, 1], [1, 0, 1, 0], 2) == 0.0
 
     def test_three_class_hand_oracle(self):
         """Precision/recall worked out by hand from the confusion matrix."""
-        gold = ["a", "a", "b", "b", "c", "c"]
-        pred = ["a", "b", "b", "b", "a", "c"]
-        # class a: tp=1 fp=1 fn=1 -> P=R=1/2, F1=1/2
-        # class b: tp=2 fp=1 fn=0 -> P=2/3, R=1, F1=4/5
-        # class c: tp=1 fp=0 fn=1 -> P=1, R=1/2, F1=2/3
+        gold = [0, 0, 1, 1, 2, 2]
+        pred = [0, 1, 1, 1, 0, 2]
+        # class 0: tp=1 fp=1 fn=1 -> P=R=1/2, F1=1/2
+        # class 1: tp=2 fp=1 fn=0 -> P=2/3, R=1, F1=4/5
+        # class 2: tp=1 fp=0 fn=1 -> P=1, R=1/2, F1=2/3
         expected = (0.5 + 0.8 + 2.0 / 3.0) / 3.0
-        assert macro_f1(gold, pred, ["a", "b", "c"]) == pytest.approx(expected)
-
-    def test_declared_but_absent_class_counts_as_zero(self):
-        gold = ["a", "a"]
-        pred = ["a", "a"]
-        assert macro_f1(gold, pred, ["a", "b"]) == 0.5
+        assert section_macro_f1(gold, pred, 3) == pytest.approx(expected)
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(2)
-        gold = list(rng.integers(0, 4, size=60))
-        pred = list(rng.integers(0, 4, size=60))
-        base = macro_f1(gold, pred, [0, 1, 2, 3])
-        relabel = {0: "w", 1: "x", 2: "y", 3: "z"}
-        assert macro_f1(
-            [relabel[g] for g in gold],
-            [relabel[p] for p in pred],
-            ["w", "x", "y", "z"],
-        ) == pytest.approx(base)
+        gold = rng.integers(0, 4, size=60)
+        pred = rng.integers(0, 4, size=60)
+        relabel = np.array([2, 0, 3, 1])
+        assert section_macro_f1(relabel[gold], relabel[pred], 4) == pytest.approx(
+            section_macro_f1(gold, pred, 4)
+        )
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            macro_f1(["a"], ["a", "b"], ["a", "b"])
+            counts([0], [0, 1], 2)
 
 
 class TestLogMae:
@@ -173,6 +168,34 @@ class TestBaselines:
             baselines(unit_split(registry, []), registry)
         with pytest.raises(ValueError, match="test split is empty"):
             baselines(unit_split(registry, ["m"], []), registry)
+
+    def test_matches_per_example_label_loop(self, registry, corpus):
+        """The id-based baselines against a loop over class names and numbers."""
+        base = baselines(corpus, registry)
+        for key, classes, label in (
+            ("majority_dimension", registry.dimensions, lambda ex: ex.dimension.name),
+            ("majority_unit", registry.units, lambda ex: ex.unit.name),
+        ):
+            order = [c.name for c in classes]
+            train_labels = [label(ex) for ex in corpus.train]
+            majority = max(order, key=train_labels.count)  # first of the tied
+            gold = [label(ex) for ex in corpus.test]
+            expected = label_section(gold, [majority] * len(gold), order)
+            assert base[key]["label"] == majority
+            assert base[key]["confusion"] == expected["confusion"]
+            for score in ("macro_f1", "accuracy", "macro_recall"):
+                assert base[key][score] == pytest.approx(expected[score], rel=1e-12)
+        numbers = sorted(ex.canonical_number for ex in corpus.train)
+        median = numbers[(len(numbers) - 1) // 2]
+        errors = [
+            abs(math.log10(ex.canonical_number) - math.log10(median))
+            for ex in corpus.test
+        ]
+        assert type(base["median_number"]["value"]) is float
+        assert base["median_number"]["value"] == median
+        assert base["median_number"]["log_mae"] == pytest.approx(
+            sum(errors) / len(errors), rel=1e-12
+        )
 
     def test_median_odd(self):
         assert lower_median([1.0, 10.0, 100.0]) == 10.0
@@ -316,7 +339,7 @@ class TestHungarian:
         assert cont.sum() == 200
         mapping = hungarian_map(cont)
         mapped = mapping[latent]
-        assert macro_f1(gold.tolist(), mapped.tolist(), list(range(5))) == 1.0
+        assert section_macro_f1(gold, mapped, 5) == 1.0
 
 
 def label_section(gold, pred, order):

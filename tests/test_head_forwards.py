@@ -75,14 +75,14 @@ def test_val_metric_runs_each_head_once(variant, mixture, registry, corpus, forw
     H = model.encoder.encode_matrix(
         model.encoder.feature_matrix([ex.masked_text for ex in val])
     )
-    arrays = batch_arrays(model, val)
+    arrays = batch_arrays(registry, val)
     for metric in ("joint-nll", "macro-f1", "log-mae"):
         try:
             TrainConfig(selection_metric=metric).resolve(False, variant)
         except ValueError:
             continue  # a metric the variant cannot compute
         forwards.clear()
-        training._val_metric(model, metric, model.outputs(H), arrays, val)
+        training._val_metric(model, metric, model.outputs(H), arrays)
         assert forwards == once_each(model), metric
 
 

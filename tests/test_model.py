@@ -62,11 +62,13 @@ def row_posterior(model, h, y):
 
 def number_row(y):
     """One row's arrays for a number column that conditions on no class."""
-    return BatchArrays(np.array([0]), np.array([0]), np.array([math.log10(y)]))
+    return BatchArrays(
+        np.array([0]), np.array([0]), np.array([math.log10(y)]), np.array([y])
+    )
 
 
 def example_loss(model, h, ex):
-    return row_loss(model, h, batch_arrays(model, [ex]))
+    return row_loss(model, h, batch_arrays(model.registry, [ex]))
 
 
 def make_example(registry, text, number, unit_token):

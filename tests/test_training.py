@@ -46,6 +46,12 @@ def small_model(registry, variant, seed=0, frozen=False, hidden=12, features=204
     return MeasurementModel(ModelSpec(variant, hidden), registry, enc, seed=seed)
 
 
+def example_gradients(model, examples, **weights):
+    """``gradients`` on the feature matrix and label arrays of ``examples``."""
+    X = model.encoder.feature_matrix([ex.masked_text for ex in examples])
+    return gradients(model, X, batch_arrays(model.registry, examples), **weights)
+
+
 class TestClassWeights:
     def test_equal_counts_normalize_to_one(self):
         assert np.allclose(class_weights(np.array([50, 50, 50])), 1.0)
@@ -253,7 +259,7 @@ class TestGradients:
 
         model = small_model(toy_registry, "dim", seed=1)
         ex = make_example(toy_registry, "a [#NUM] [#UNIT] b", 4.0, "m")
-        _, grads = gradients(model, [ex])
+        _, grads = example_gradients(model, [ex])
         h = model.encode(ex.masked_text)
         p = softmax(model.dim_logits(h))
         onehot = np.zeros_like(p)
@@ -264,7 +270,7 @@ class TestGradients:
     def test_finite_difference_agreement(self, variant, registry, corpus):
         examples = corpus.train[:6]
         model = small_model(registry, variant, seed=3, hidden=5, features=64)
-        loss, grads = gradients(model, examples)
+        loss, grads = example_gradients(model, examples)
         assert math.isfinite(loss)
         params = model.trainable_parameters()
         assert set(grads) == set(params)
@@ -296,7 +302,7 @@ class TestGradients:
             _forward_backward(
                 model,
                 model.outputs(model.encode(ex.masked_text)[None]),
-                batch_arrays(model, [ex]),
+                batch_arrays(model.registry, [ex]),
                 None,
                 None,
                 False,
@@ -307,17 +313,43 @@ class TestGradients:
             np.mean(per_example), rel=1e-12
         )
 
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_step_on_taken_rows_matches_label_pass_of_selection(
+        self, variant, registry, corpus
+    ):
+        """A step on ``arrays.take(idx)`` has the loss and gradient bits of a
+        step on ``batch_arrays`` of the selected examples."""
+        examples = corpus.train[:40]
+        idx = np.random.default_rng(1).permutation(len(examples))[:13]
+        model = small_model(registry, variant, seed=6, hidden=5, features=256)
+        X = model.encoder.feature_matrix([ex.masked_text for ex in examples])
+        taken = batch_arrays(registry, examples).take(idx)
+        fresh = batch_arrays(registry, [examples[i] for i in idx])
+        for name, column in vars(fresh).items():
+            assert np.array_equal(getattr(taken, name), column), name
+        weights = dict(
+            dim_weights=class_weights(np.arange(len(registry.dimensions))),
+            unit_weights=class_weights(np.arange(len(registry.units))),
+        )
+        loss, grads = gradients(model, X[idx], taken, **weights)
+        grads = {name: np.array(g) for name, g in grads.items()}  # W_S is a view
+        fresh_loss, fresh_grads = gradients(model, X[idx], fresh, **weights)
+        assert loss == fresh_loss
+        assert set(grads) == set(fresh_grads)
+        for name, g in grads.items():
+            assert np.array_equal(g, fresh_grads[name]), name
+
     def test_frozen_encoder_has_no_projection_gradient(self, registry, corpus):
         model = small_model(registry, "dim", seed=2, frozen=True)
-        _, grads = gradients(model, corpus.train[:4])
+        _, grads = example_gradients(model, corpus.train[:4])
         assert "encoder.W_S" not in grads
 
     def test_weighted_ce_scales_gradient(self, registry, corpus):
         model = small_model(registry, "dim", seed=4)
         examples = corpus.train[:5]
         n_dims = len(registry.dimensions)
-        _, plain = gradients(model, examples)
-        _, doubled = gradients(
+        _, plain = example_gradients(model, examples)
+        _, doubled = example_gradients(
             model, examples, dim_weights=np.full(n_dims, 2.0)
         )
         assert np.allclose(doubled["b_D"], 2.0 * plain["b_D"])
@@ -330,7 +362,7 @@ class TestGradients:
         state = AdamWState(weight_decay=0.0)
         start = batch_loss(model, examples)
         for _ in range(50):
-            _, grads = gradients(model, examples)
+            _, grads = example_gradients(model, examples)
             adamw_step(params, grads, state, lr=5e-3)
         end = batch_loss(model, examples)
         assert end < start, variant
@@ -372,7 +404,7 @@ class TestTrainLoop:
     ):
         calls = {"n": 0}
 
-        def worsening(model, metric, out_val, arrays_val, val_examples):
+        def worsening(model, metric, out, arrays):
             calls["n"] += 1
             return float(calls["n"])
 
@@ -397,7 +429,7 @@ class TestTrainLoop:
 
         calls = {"n": 0}
 
-        def worsening(model, metric, out_val, arrays_val, val_examples):
+        def worsening(model, metric, out, arrays):
             calls["n"] += 1
             return float(calls["n"])
 
