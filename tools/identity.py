@@ -11,7 +11,12 @@ the value the benchmark reports under that name.
 model after ``save_model`` and ``load_model``, so the checkpoint path is
 covered too, and ``export`` hashes the TSV ``measured export`` writes from
 the saved checkpoint.  ``<shape>/stats`` hashes the JSON ``measured stats``
-writes for the shape's corpus.  A shape that trains ``dim`` and ``number`` also runs
+writes for the shape's corpus.  ``<shape>/miss-dense-features`` hashes the
+``feature_matrix`` (indices, data, indptr) that a cold encoder of the shape's
+hash config builds from its test texts, each wrapped in seeded words of
+random ASCII and 2- to 4-byte UTF-8 letters, so nearly every memo lookup
+misses and the bench shape's batch outgrows the memo.  A shape that trains
+``dim`` and ``number`` also runs
 the few-shot grid (k = 5, the shape's seed); ``fewshot`` hashes each
 variant and regime's row of the report with its baseline.  Two trees that
 hash equal behave bit for bit the same on these cases.
@@ -43,7 +48,7 @@ import numpy as np
 from measured import data, evaluation, synth, training
 from measured.cli import main as measured_main
 from measured.cli import prediction_record
-from measured.encoding import EncoderConfig
+from measured.encoding import EncoderConfig, HashedNgramEncoder
 from measured.experiments import fewshot_grid, train_variant
 from measured.model import VARIANT_RECORDS, VARIANTS, load_model, save_model
 from measured.training import TrainConfig
@@ -52,6 +57,9 @@ from measured.units import default_registry
 # the variants whose number read-out can be the dimension-mixture median
 MIXTURE_VARIANTS = tuple(v.name for v in VARIANT_RECORDS.values() if v.mixture_readout)
 # few-shot report rows: (variant, report table, baseline entry of that table)
+# letters of the miss-dense words: ASCII, then 2-, 3- and 4-byte UTF-8
+MISS_DENSE_ALPHABET = list("abcdefghijklmnopqrstuvwxyz" "éµ°ß" "€中" "𝛼😀")
+MISS_DENSE_WORDS = 8  # on each side of a text
 FEWSHOT_TABLES = (
     ("dim", "dimension_macro_f1", "majority"),
     ("number", "number_log_mae", "median"),
@@ -93,6 +101,19 @@ def _sha(payload) -> str:
         return hashlib.sha256(head + np.ascontiguousarray(payload).tobytes()).hexdigest()
     text = json.dumps(payload, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def miss_dense_texts(texts: list[str], seed: int) -> list[str]:
+    """Each text between two runs of seeded random words, so few n-grams repeat."""
+    rng = np.random.default_rng(seed)
+
+    def words() -> str:
+        return " ".join(
+            "".join(rng.choice(MISS_DENSE_ALPHABET, size=rng.integers(1, 10)))
+            for _ in range(MISS_DENSE_WORDS)
+        )
+
+    return [f"{words()} {text} {words()}" for text in texts]
 
 
 def _cases(shape: Shape):
@@ -144,6 +165,14 @@ def shape_hashes(shape: Shape) -> dict[str, str]:
     data.write_jsonl(corpus, records)
     out[f"{shape.name}/stats"] = _sha(
         _cli_file("stats", corpus.with_suffix(".json"), "--data", str(corpus))
+    )
+    # a one-column projection hashes like the shape's own at no memory cost
+    cold = HashedNgramEncoder(EncoderConfig(feature_dim=shape.feature_dim, hidden_dim=1))
+    X = cold.feature_matrix(
+        miss_dense_texts([ex.masked_text for ex in split.test], shape.seed)
+    )
+    out[f"{shape.name}/miss-dense-features"] = _sha(
+        [_sha(X.indices), _sha(X.data), _sha(X.indptr)]
     )
     for variant, frozen, mixture in _cases(shape):
         key = _key(shape, variant, frozen, mixture)
