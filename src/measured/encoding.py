@@ -16,6 +16,16 @@ when full; it starts empty whenever an encoder is built.  A miss hashes only
 the n-gram's own bytes, continuing from the FNV-1a state after its kind
 prefix (``w1:``, ``c3:``, ...), which the encoder computes once.
 
+A batch learns ahead.  ``feature_matrix`` featurizes text by text, and after
+a text that missed more memo keys than it hit, it takes the texts ahead of
+it for as long as all their keys fit in ``_MEMO_CAPACITY`` and hashes every
+one the memo lacks in numpy passes of ``_HASH_BLOCK`` keys
+(:func:`_hash_keys`); those texts then featurize from memo hits alone.  If the new keys do not fit beside the
+memo's entries, the memo is cleared but keeps the entries those texts need.
+A text with more keys than the capacity takes the serial path.  Either way
+the memo never holds more than ``_MEMO_CAPACITY`` entries, and every entry
+is the same bytes the serial path stores.
+
 The initial ``W_S`` is a pure function of (seed, shape): one serial
 ``uniform`` over the table from the ``encoder-init`` stream.  PCG64 can jump
 ahead, so :func:`init_blocks` draws any row range on its own, and
@@ -30,6 +40,7 @@ already carries the task signal.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import mmap
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -47,6 +58,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _SEED_MIX = 0x9E3779B97F4A7C15
 # memo entries per encoder; a full memo is cleared, not evicted entry by entry
 _MEMO_CAPACITY = 2**14
+# keys per batch hashing pass, which bounds the pass's transient arrays
+_HASH_BLOCK = 2**11
 # W_S init rows per uniform() call, and the fewest rows worth a thread
 _DRAW_BLOCK = 64
 _DRAW_MIN_ROWS = 2**14
@@ -147,30 +160,145 @@ def _remember(memo: dict, key: str, grams, prefixes: dict[str, int], dim: int) -
 
 def _featurize(
     text: str, config: EncoderConfig, prefixes: dict[str, int], memo: dict
-) -> FeatureVector:
-    """:func:`featurize` through ``memo``: token -> its grams' ids, phrase -> id.
+) -> tuple[FeatureVector, bool]:
+    """:func:`featurize` through ``memo``: token -> its grams' ids, phrase -> id;
+    and whether the text's memo lookups missed more often than they hit.
 
     Tokens never contain whitespace and phrases always do, so the two kinds
     of key cannot collide.
     """
     tokens = tokenize(text)
+    phrases = _phrase_grams(tokens, config)
     dim = config.feature_dim
     parts = []
+    misses = 0
     for token in tokens:
         ids = memo.get(token)
         if ids is None:
+            misses += 1
             ids = _remember(memo, token, _token_grams(token, config), prefixes, dim)
         parts.append(ids)
-    for kind, phrase in _phrase_grams(tokens, config):
+    for kind, phrase in phrases:
         ids = memo.get(phrase)
         if ids is None:
+            misses += 1
             ids = _remember(memo, phrase, [(kind, phrase)], prefixes, dim)
         parts.append(ids)
     buckets = np.frombuffer(b"".join(parts), dtype=np.int64)
     indices, counts = np.unique(buckets, return_counts=True)
     values = counts.astype(np.float64)
     values /= np.linalg.norm(values)
-    return FeatureVector(indices, values, dim)
+    return FeatureVector(indices, values, dim), 2 * misses > len(tokens) + len(phrases)
+
+
+def _fnv1a_windows(
+    buf: np.ndarray, start: np.ndarray, length: np.ndarray, state: np.ndarray
+) -> np.ndarray:
+    """:func:`_fnv1a` of every byte window ``buf[start : start + length]``, each
+    continued from its own ``uint64`` ``state``, all at once.
+
+    The windows are sorted longest first, so byte ``k`` of every window
+    longer than ``k`` is mixed in by one step over a leading slice.
+    """
+    order = np.argsort(-length, kind="stable")
+    start, h = start[order], state[order]
+    longest_first = -length[order]
+    active = np.searchsorted(longest_first, -np.arange(length.max(initial=0)))
+    for k, n in enumerate(active.tolist()):
+        h[:n] ^= buf[start[:n] + k]
+        h[:n] *= np.uint64(_FNV_PRIME)
+    out = np.empty_like(h)
+    out[order] = h
+    return out
+
+
+def _hash_keys(
+    keys: list[tuple[str | None, str]], config: EncoderConfig, prefixes: dict[str, int]
+) -> list[bytes]:
+    """What :func:`_remember` stores for each ``(None, token)`` or ``(kind,
+    phrase)``, hashed in one pass.
+
+    The marked tokens and the phrases are joined into one UTF-8 buffer whose
+    code points start at the bytes that are not ``10xxxxxx``, so every
+    n-gram is a window of whole code points found by index arithmetic.
+    Each key's ids are packed in :func:`_token_grams` order.
+    """
+    strings = [key if kind else f"<{key}>" for kind, key in keys]
+    buf = np.frombuffer("".join(strings).encode("utf-8"), dtype=np.uint8)
+    at = np.append(np.flatnonzero((buf & 0xC0) != 0x80), len(buf))
+    size = np.array([len(s) for s in strings], dtype=np.int64)
+    first = np.cumsum(size) - size
+    n = len(strings)
+    token = np.array([kind is None for kind, _ in keys], dtype=np.int64)
+    phrase_state = [prefixes[kind] if kind else 0 for kind, _ in keys]
+    # gram families: per key, the kind's FNV-1a state, the code point of its
+    # first gram, the gram width and the number of grams
+    families = [
+        (prefixes["w1"], first + 1, size - 2, token) for k in config.word_ngrams if k == 1
+    ]
+    families += [
+        (prefixes[f"c{k}"], first, k, token * np.maximum(size - k + 1, 0))
+        for k in config.char_ngrams
+    ]
+    families.append((phrase_state, first, size, 1 - token))
+    state, begin, width, count = (
+        np.concatenate([np.broadcast_to(np.asarray(f[j], dtype), n) for f in families])
+        for j, dtype in enumerate((np.uint64, np.int64, np.int64, np.int64))
+    )
+    # a key's ids are packed family after family; slot[f, key] is where
+    # family f's ids of that key start in the packed output
+    per_key = count.reshape(len(families), n)
+    grams = per_key.sum(axis=0)
+    slot = (np.cumsum(grams) - grams) + (np.cumsum(per_key, axis=0) - per_key)
+    family = np.repeat(np.arange(len(count)), count)
+    i = np.arange(len(family)) - np.repeat(np.cumsum(count) - count, count)
+    char = begin[family] + i
+    start = at[char]
+    h = _fnv1a_windows(buf, start, at[char + width[family]] - start, state[family])
+    ids = np.empty(len(h), dtype=np.int64)
+    ids[slot.ravel()[family] + i] = h % np.uint64(config.feature_dim)
+    raw = ids.tobytes()
+    bounds = [0, *(8 * np.cumsum(grams)).tolist()]
+    return [raw[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _learn_ahead(texts, config: EncoderConfig, prefixes: dict[str, int], memo: dict) -> None:
+    """Hash every key of the leading ``texts`` that ``memo`` lacks, in numpy
+    passes of ``_HASH_BLOCK`` keys.
+
+    Takes texts while all their keys fit in ``_MEMO_CAPACITY``, so a first
+    text with more keys than that is left to the serial path.  When the new
+    keys do not fit beside the memo's entries, the memo is cleared but keeps
+    the entries the taken texts need.
+    """
+    wanted: dict[str, str | None] = {}  # token -> None, phrase -> its kind
+    for text in texts:
+        tokens = tokenize(text)
+        keys = dict.fromkeys(tokens)
+        keys.update((phrase, kind) for kind, phrase in _phrase_grams(tokens, config))
+        fresh = {key: kind for key, kind in keys.items() if key not in wanted}
+        if len(wanted) + len(fresh) > _MEMO_CAPACITY:
+            break
+        wanted.update(fresh)
+    kept, missing = {}, []
+    for key, kind in wanted.items():
+        ids = memo.get(key)
+        if ids is None:
+            missing.append((kind, key))
+        else:
+            kept[key] = ids
+    try:
+        hashed = [
+            ids
+            for lo in range(0, len(missing), _HASH_BLOCK)
+            for ids in _hash_keys(missing[lo : lo + _HASH_BLOCK], config, prefixes)
+        ]
+    except UnicodeEncodeError:
+        return  # the serial path raises only where an n-gram holds the bad text
+    if len(memo) + len(hashed) > _MEMO_CAPACITY:
+        memo.clear()
+        memo.update(kept)
+    memo.update(zip((key for _, key in missing), hashed))
 
 
 def _small_page_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -243,7 +371,7 @@ def draw_init(seed: int, shape: tuple[int, int]) -> np.ndarray:
 
 def featurize(text: str, config: EncoderConfig) -> FeatureVector:
     """Hash n-gram counts into ``feature_dim`` buckets and L2-normalize."""
-    return _featurize(text, config, _prefix_states(config), {})
+    return _featurize(text, config, _prefix_states(config), {})[0]
 
 
 class HashedNgramEncoder:
@@ -259,10 +387,15 @@ class HashedNgramEncoder:
 
     :meth:`featurize` hashes through the encoder's own memo (see the module
     docstring): at most ``_MEMO_CAPACITY`` entries, cleared when full, empty
-    on construction.  Every entry is a pure function of the config, so
+    on construction.  :meth:`feature_matrix` learns ahead: after a text that
+    missed more memo keys than it hit, it hashes the keys the memo lacks of
+    as many texts ahead as the memo can hold in numpy passes, clearing the memo
+    but for the entries those texts need when the new keys do not fit.
+    Every entry is a pure function of the config, so
     concurrent readers under the GIL stay correct: a lost insert or an
-    extra clear only costs a recomputation, and the memo may briefly hold
-    one entry per racing thread beyond its capacity.  One encoder trains in
+    extra clear only costs a recomputation, the memo may briefly hold
+    one entry per racing thread beyond its capacity, and a racing miss
+    count only decides whether a batch learns ahead.  One encoder trains in
     one thread only: :meth:`projection_gradient` returns a view of its one
     ``W_S`` gradient buffer, which the next call overwrites.
     """
@@ -280,6 +413,7 @@ class HashedNgramEncoder:
         self.W_S = W_S
         self._prefixes = _prefix_states(config)
         self._memo: dict[str, bytes] = {}
+        self._missed_most = False  # by the last featurize's memo lookups
         self._grad, self._grad_rows = None, np.empty(0, dtype=np.int64)
 
     @property
@@ -291,7 +425,8 @@ class HashedNgramEncoder:
         return self.config.frozen
 
     def featurize(self, text: str) -> FeatureVector:
-        return _featurize(text, self.config, self._prefixes, self._memo)
+        fv, self._missed_most = _featurize(text, self.config, self._prefixes, self._memo)
+        return fv
 
     def encode(self, text: str) -> np.ndarray:
         """Hidden vector for one text: ``W_S^T featurize(text)``."""
@@ -301,8 +436,17 @@ class HashedNgramEncoder:
         return fv.values @ self.W_S[fv.indices]
 
     def feature_matrix(self, texts: list[str]) -> sparse.csr_matrix:
-        """The texts' feature vectors stacked into one CSR matrix, in input order."""
-        features = [self.featurize(t) for t in texts]
+        """The texts' feature vectors stacked into one CSR matrix, in input order.
+
+        Each text goes through :meth:`featurize`; after one that missed more
+        memo keys than it hit, the texts ahead learn their keys in numpy passes.
+        """
+        features = []
+        for i, text in enumerate(texts):
+            features.append(self.featurize(text))
+            if self._missed_most and i + 1 < len(texts):
+                rest = itertools.islice(texts, i + 1, None)
+                _learn_ahead(rest, self.config, self._prefixes, self._memo)
         indptr = np.zeros(len(features) + 1, dtype=np.int64)
         for i, fv in enumerate(features):
             indptr[i + 1] = indptr[i] + len(fv.indices)

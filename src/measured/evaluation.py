@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from measured.data import DatasetSplit, NonPositiveNumber, lower_median
-from measured.model import MeasurementModel, MissingHead, batch_arrays
+from measured.model import BatchArrays, MeasurementModel, MissingHead, batch_arrays
 from measured.units import UnitRegistry, manhattan_distance
 
 
@@ -189,12 +189,16 @@ def baselines(split: DatasetSplit, registry: UnitRegistry) -> dict:
     Majority class for dimension and unit (ties to the lowest index),
     training lower median for the number.
     """
+    return _baselines(split, batch_arrays(registry, split.test), registry)
+
+
+def _baselines(split: DatasetSplit, test: BatchArrays, registry: UnitRegistry) -> dict:
+    """:func:`baselines` scored on ``test``, the arrays of the test split."""
     if not split.test:
         raise ValueError("test split is empty")
     if not split.train:
         raise ValueError("majority baseline needs a non-empty training set")
     train = batch_arrays(registry, split.train)
-    test = batch_arrays(registry, split.test)
     report = {}
     for key, classes, train_ids, gold in (
         ("majority_dimension", registry.dimensions, train.dim_index, test.dim_index),
@@ -237,11 +241,11 @@ def evaluate(
     reg = model.registry
     test = list(split.test)
     report = EvalReport(variant, len(split.train), len(test))
-    report.baselines = baselines(split, reg)
+    arrays = batch_arrays(reg, test)
+    report.baselines = _baselines(split, arrays, reg)
 
     dim_names = [d.name for d in reg.dimensions]
     unit_names = [u.name for u in reg.units]
-    arrays = batch_arrays(reg, test)
     gold_di, gold_ui = arrays.dim_index, arrays.unit_index
     gold_numbers = arrays.canonical_number
     X = model.encoder.feature_matrix([ex.masked_text for ex in test])

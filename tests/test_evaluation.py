@@ -477,6 +477,22 @@ class TestEvaluate:
         assert {"majority_dimension", "majority_unit", "median_number"} <= set(base)
         assert base["median_number"]["log_mae"] > 0
 
+    def test_one_label_pass_over_the_test_split(self, registry, corpus, monkeypatch):
+        from measured import evaluation
+
+        model = quick_model(registry, corpus, "joint", epochs=1)
+        passes = []
+        real = evaluation.batch_arrays
+
+        def spy(reg, examples):
+            passes.append(len(examples))
+            return real(reg, examples)
+
+        monkeypatch.setattr(evaluation, "batch_arrays", spy)
+        report = evaluate(model, corpus)
+        assert sorted(passes) == sorted([len(corpus.train), len(corpus.test)])
+        assert report.baselines == baselines(corpus, registry)
+
     def test_unsupported_probe_raises(self, registry, corpus):
         model = quick_model(registry, corpus, "dim", epochs=2)
         with pytest.raises(MissingHead):
