@@ -19,7 +19,7 @@ from measured.data import (
     stats,
     tokenize,
 )
-from measured.encoding import EncoderConfig, HashedNgramEncoder, export_embeddings
+from measured.encoding import EncoderConfig, HashedNgramEncoder
 from measured.evaluation import EvalReport, evaluate, hungarian_map, log_mae
 from measured.model import (
     MeasurementModel,

@@ -31,7 +31,7 @@ import numpy as np
 
 from measured import data as data_mod
 from measured import evaluation, experiments, synth, training
-from measured.encoding import EncoderConfig, export_embeddings
+from measured.encoding import EncoderConfig
 from measured.model import (
     MeasurementModel,
     VARIANTS,
@@ -292,7 +292,7 @@ def cmd_synth(args) -> int:
 
 def cmd_stats(args) -> int:
     registry = _load_registry(args)
-    _write_json(data_mod.stats(_load_examples(args, registry)).to_json_dict(), args.out)
+    _write_json(data_mod.stats(_load_examples(args, registry)), args.out)
     return 0
 
 
@@ -451,11 +451,17 @@ def cmd_export(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError("--limit must be >= 0")
     registry = _load_registry(args)
-    model = load_model(args.checkpoint, registry)
+    encoder = load_model(args.checkpoint, registry).encoder
     examples = _load_examples(args, registry)[: args.limit]
     out = args.out or "embeddings.tsv"
-    n = export_embeddings(model.encoder, examples, out)
-    print(f"export: wrote {n} rows to {out}", file=sys.stderr)
+    header = [f"h_{i}" for i in range(encoder.hidden_dim)]
+    with open(out, "w", encoding="utf-8") as f:
+        f.write("\t".join(header + ["dimension", "unit", "exponent_bin"]) + "\n")
+        for ex in examples:
+            h = ["%.8g" % v for v in encoder.encode(ex.masked_text)]
+            b = str(data_mod.exponent_bin(ex.canonical_number))
+            f.write("\t".join(h + [ex.dimension.name, ex.unit.name, b]) + "\n")
+    print(f"export: wrote {len(examples)} rows to {out}", file=sys.stderr)
     return 0
 
 

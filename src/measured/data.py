@@ -9,7 +9,8 @@ and enforces the corpus invariants (positive number, exactly one of each
 mask token, at most 64 tokens).  Ingested records gain ``"dimension"`` and
 ``"canonical_number"`` fields.  Parsed records that violate an invariant
 are dropped and counted by reason, never fatal; a line that is not JSON
-stops the read with an error naming its file line.
+stops the read with an error naming its file line.  :func:`stats` returns
+the ``measured stats`` JSON document itself.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TypeVar
 
 from measured.seeding import stream_rng
@@ -152,11 +153,6 @@ def parse_convert_template(wikitext: str) -> tuple[float, str, str]:
         return number, src, dst
     assert first_error is not None
     raise first_error
-
-
-def serialize_convert_template(number: float, src: str, dst: str) -> str:
-    """Inverse of :func:`parse_convert_template` for well-formed values."""
-    return f"{{{{convert|{number!r}|{src}|{dst}}}}}"
 
 
 # -- ingestion -----------------------------------------------------------------
@@ -338,57 +334,34 @@ def lower_median(values: Sequence[float]) -> float:
     return ordered[(len(ordered) - 1) // 2]
 
 
-@dataclass
-class CorpusStats:
-    """Counts, per-class tallies, and base-10 exponent histograms."""
+def stats(examples: Sequence[MeasurementExample]) -> dict:
+    """The ``measured stats`` JSON document of a flat example list.
 
-    n_examples: int
-    dimension_counts: dict[str, int]
-    unit_counts: dict[str, int]
-    exponent_hist_by_dimension: dict[str, dict[int, int]]
-    exponent_hist_by_unit: dict[str, dict[int, int]]
-    median_characters: float
-    median_tokens: float
-
-    def to_json_dict(self) -> dict:
-        doc = asdict(self)
-        for key in ("dimension_counts", "unit_counts"):
-            doc[key] = dict(sorted(doc[key].items()))
-        for key in ("exponent_hist_by_dimension", "exponent_hist_by_unit"):
-            doc[key] = {
-                name: {str(b): c for b, c in sorted(bins.items())}
-                for name, bins in sorted(doc[key].items())
-            }
-        return doc
-
-
-def stats(examples: Sequence[MeasurementExample]) -> CorpusStats:
-    """Corpus statistics over a flat example list.
-
-    Exponent bins are ``floor(log10(canonical_number))``; medians are taken
-    over character counts and :func:`tokenize` lengths of the masked text.
+    Counts and exponent histograms are keyed by dimension and unit name in
+    name order; a histogram's bins are ``floor(log10(canonical_number))`` as
+    strings in bin order.  Medians are taken over character counts and
+    :func:`tokenize` lengths of the masked text, 0 for no examples.
     """
-    dim_counts: Counter = Counter()
-    unit_counts: Counter = Counter()
-    dim_hist: dict[str, Counter] = {}
-    unit_hist: dict[str, Counter] = {}
+    by_dim: dict[str, Counter] = {}
+    by_unit: dict[str, Counter] = {}
     for ex in examples:
         b = exponent_bin(ex.canonical_number)
-        dim_counts[ex.dimension.name] += 1
-        unit_counts[ex.unit.name] += 1
-        dim_hist.setdefault(ex.dimension.name, Counter())[b] += 1
-        unit_hist.setdefault(ex.unit.name, Counter())[b] += 1
+        by_dim.setdefault(ex.dimension.name, Counter())[b] += 1
+        by_unit.setdefault(ex.unit.name, Counter())[b] += 1
 
-    return CorpusStats(
-        n_examples=len(examples),
-        dimension_counts=dict(dim_counts),
-        unit_counts=dict(unit_counts),
-        exponent_hist_by_dimension={k: dict(v) for k, v in dim_hist.items()},
-        exponent_hist_by_unit={k: dict(v) for k, v in unit_hist.items()},
-        median_characters=lower_median([len(ex.masked_text) for ex in examples])
-        if examples
-        else 0,
-        median_tokens=lower_median([len(tokenize(ex.masked_text)) for ex in examples])
-        if examples
-        else 0,
-    )
+    def bins(hists: dict[str, Counter]) -> dict[str, dict[str, int]]:
+        return {
+            k: {str(b): c for b, c in sorted(h.items())} for k, h in sorted(hists.items())
+        }
+
+    chars = [len(ex.masked_text) for ex in examples]
+    tokens = [len(tokenize(ex.masked_text)) for ex in examples]
+    return {
+        "n_examples": len(examples),
+        "dimension_counts": {k: sum(h.values()) for k, h in sorted(by_dim.items())},
+        "unit_counts": {k: sum(h.values()) for k, h in sorted(by_unit.items())},
+        "exponent_hist_by_dimension": bins(by_dim),
+        "exponent_hist_by_unit": bins(by_unit),
+        "median_characters": lower_median(chars) if examples else 0,
+        "median_tokens": lower_median(tokens) if examples else 0,
+    }

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from measured.data import MeasurementExample, exponent_bin, tokenize
+from measured.data import tokenize
 from measured.seeding import stream_rng
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -507,29 +507,3 @@ class HashedNgramEncoder:
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"W_S": self.W_S}
-
-
-def export_embeddings(
-    encoder: HashedNgramEncoder,
-    examples: list[MeasurementExample],
-    path,
-) -> int:
-    """Write one TSV row per example to ``path``: hidden vector plus labels.
-
-    Columns: ``h_0..h_{M-1}``, then the example's dimension name, unit name,
-    and base-10 exponent bin of the canonical number.  Returns the number of
-    rows written.
-    """
-    with open(path, "w", encoding="utf-8") as f:
-        m = encoder.hidden_dim
-        header = [f"h_{i}" for i in range(m)] + ["dimension", "unit", "exponent_bin"]
-        f.write("\t".join(header) + "\n")
-        for ex in examples:
-            h = encoder.encode(ex.masked_text)
-            row = ["%.8g" % v for v in h] + [
-                ex.dimension.name,
-                ex.unit.name,
-                str(exponent_bin(ex.canonical_number)),
-            ]
-            f.write("\t".join(row) + "\n")
-    return len(examples)

@@ -12,7 +12,9 @@ Each classification section counts one confusion matrix with
 :func:`counts` and reads everything from it: the scores, the table of the
 classes that occur, the Manhattan histogram of dimension errors, and the
 per-dimension unit tables.  Grouped log-mae selects each class's examples
-by id.  Class names appear only where the report is written.
+by id.  :func:`baselines` reads the label arrays of the train and test
+splits, never their examples.  Class names appear only where the report is
+written.
 
 The latent-dimension model is scored by counting a contingency matrix of
 (latent class, true dimension) pairs, solving the maximum-weight
@@ -183,22 +185,16 @@ class EvalReport:
         return asdict(self)
 
 
-def baselines(split: DatasetSplit, registry: UnitRegistry) -> dict:
-    """The constant predictors fit on the train split, scored on the test split.
+def baselines(train: BatchArrays, test: BatchArrays, registry: UnitRegistry) -> dict:
+    """The constant predictors fit on the ``train`` arrays, scored on ``test``.
 
     Majority class for dimension and unit (ties to the lowest index),
     training lower median for the number.
     """
-    return _baselines(split, batch_arrays(registry, split.test), registry)
-
-
-def _baselines(split: DatasetSplit, test: BatchArrays, registry: UnitRegistry) -> dict:
-    """:func:`baselines` scored on ``test``, the arrays of the test split."""
-    if not split.test:
+    if not len(test.dim_index):
         raise ValueError("test split is empty")
-    if not split.train:
+    if not len(train.dim_index):
         raise ValueError("majority baseline needs a non-empty training set")
-    train = batch_arrays(registry, split.train)
     report = {}
     for key, classes, train_ids, gold in (
         ("majority_dimension", registry.dimensions, train.dim_index, test.dim_index),
@@ -242,7 +238,7 @@ def evaluate(
     test = list(split.test)
     report = EvalReport(variant, len(split.train), len(test))
     arrays = batch_arrays(reg, test)
-    report.baselines = _baselines(split, arrays, reg)
+    report.baselines = baselines(batch_arrays(reg, split.train), arrays, reg)
 
     dim_names = [d.name for d in reg.dimensions]
     unit_names = [u.name for u in reg.units]

@@ -15,7 +15,7 @@ from statistics import mean, stdev
 from measured import evaluation
 from measured.data import DatasetSplit, fewshot_sample
 from measured.encoding import EncoderConfig, HashedNgramEncoder
-from measured.model import MeasurementModel, ModelSpec
+from measured.model import MeasurementModel, ModelSpec, batch_arrays
 from measured.training import TrainConfig, TrainResult, train
 from measured.units import UnitRegistry
 
@@ -82,7 +82,9 @@ def fewshot_grid(
     )
     for _, variant, _, _ in tasks:
         train_config.resolve(False, variant)
-    base = evaluation.baselines(split, registry)
+    base = evaluation.baselines(
+        batch_arrays(registry, split.train), batch_arrays(registry, split.test), registry
+    )
     majority = base["majority_dimension"]
     report: dict = {
         "ks": list(ks),

@@ -607,7 +607,7 @@ def _v3_projection(z, config: EncoderConfig, seed: int, path) -> np.ndarray:
     E, M = config.feature_dim, config.hidden_dim
     rows, values = z["encoder.rows"], z["encoder.W_rows"]
     if rows.ndim != 1 or rows.dtype.kind not in "iu" or not (
-        np.all(rows >= 0) and np.all(rows < E) and np.all(np.diff(rows) > 0)
+        np.all(rows >= 0) and np.all(rows < E) and np.all(rows[1:] > rows[:-1])
     ):
         raise ValueError(f"{path}: encoder.rows must be increasing ids in [0, {E})")
     if values.shape != (len(rows), M):

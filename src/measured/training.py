@@ -88,8 +88,11 @@ class TrainConfig:
             raise ValueError("batch_size, max_epochs, patience must be >= 1")
         if self.warmup_steps < 0:
             raise ValueError("warmup_steps must be >= 0")
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        lr, wd = self.learning_rate, self.weight_decay
+        if lr is not None and not 0 < lr < math.inf:
+            raise ValueError(f"learning_rate must be finite and positive, got {lr!r}")
+        if not 0 <= wd < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {wd!r}")
         if self.weighting not in (None, "uniform", "log-frequency"):
             raise ValueError(f"unknown weighting {self.weighting!r}")
         if self.selection_metric not in (None, "joint-nll", "macro-f1", "log-mae"):

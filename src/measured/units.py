@@ -25,6 +25,7 @@ ambiguous surface forms are handled by declaring more aliases.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -114,8 +115,11 @@ class Unit:
     aliases: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        if not (self.scale > 0):
-            raise RegistryError(f"unit {self.name!r} must have positive scale")
+        if not (0 < self.scale < math.inf and math.isfinite(self.offset)):
+            raise RegistryError(
+                f"unit {self.name!r} needs a finite positive scale and a finite "
+                f"offset, got scale={self.scale!r} offset={self.offset!r}"
+            )
 
     @property
     def is_canonical(self) -> bool:

@@ -154,6 +154,8 @@ def test_probe_disagreement_refused(registry, tmp_path):
         np.array([2, 1]),
         np.array([3, 3]),
         np.array([0.0, 1.0]),
+        np.array([2, 1], dtype=np.uint64),  # np.diff wraps unsigned ids
+        np.array([3, 3], dtype=np.uint64),
     ],
 )
 def test_bad_row_ids_refused(registry, tmp_path, rows):

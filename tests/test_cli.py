@@ -1,8 +1,10 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -542,6 +544,41 @@ class TestTrainEval:
         assert code == 1
         assert "fingerprint" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--lr", "nan", "learning_rate must be finite and positive, got nan"),
+            ("--lr", "inf", "learning_rate must be finite and positive, got inf"),
+            ("--weight-decay", "nan", "weight_decay must be finite and >= 0, got nan"),
+            ("--weight-decay", "-1", "weight_decay must be finite and >= 0, got -1.0"),
+        ],
+    )
+    def test_bad_training_setting_fails_before_any_training(
+        self, flag, value, message, workdir, tmp_path, capsys, monkeypatch
+    ):
+        from measured import experiments
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+
+        monkeypatch.setattr(experiments, "train_variant", spy)
+        out = tmp_path / "model.npz"
+        code, stdout, err = run(
+            [
+                "train",
+                "--data", str(workdir / "corpus.jsonl"),
+                "--out", str(out),
+                flag, value,
+            ],
+            capsys,
+        )
+        assert code == 1 and stdout == ""
+        assert err == f"measured: error: {message}\n"
+        assert calls == []
+        assert not out.exists()
+
 
 class TestPredictExport:
     def test_predict_jsonl(self, workdir, tmp_path, capsys):
@@ -791,10 +828,13 @@ class TestConfigFile:
 
 class TestInstalledEntryPoint:
     def test_console_script_runs(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "measured.cli", "--help"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "measured" in proc.stdout

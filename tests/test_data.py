@@ -17,7 +17,6 @@ from measured.data import (
     lower_median,
     parse_convert_template,
     read_jsonl,
-    serialize_convert_template,
     split,
     stats,
     tokenize,
@@ -104,7 +103,7 @@ class TestConvertTemplate:
     )
     @settings(max_examples=200)
     def test_round_trip(self, number, src, dst):
-        wikitext = serialize_convert_template(number, src, dst)
+        wikitext = f"{{{{convert|{number!r}|{src}|{dst}}}}}"
         got = parse_convert_template(wikitext)
         assert got == (number, src, dst)
 
@@ -249,19 +248,19 @@ class TestStats:
             reg,
         ).examples
         s = stats(examples)
-        assert s.n_examples == 3
-        assert s.dimension_counts == {"length": 2, "time": 1}
-        assert s.exponent_hist_by_dimension["length"] == {3: 1, 2: 1}
-        assert s.exponent_hist_by_unit["km"] == {3: 1, 2: 1}
+        assert s["n_examples"] == 3
+        assert s["dimension_counts"] == {"length": 2, "time": 1}
+        assert s["exponent_hist_by_dimension"]["length"] == {"2": 1, "3": 1}
+        assert s["exponent_hist_by_unit"]["km"] == {"2": 1, "3": 1}
 
     def test_histogram_sums_match_counts(self, reg):
         records = generate_records(SynthConfig(n_examples=400, seed=2), reg)
         examples = ingest(records, reg).examples
         s = stats(examples)
-        for dim, bins in s.exponent_hist_by_dimension.items():
-            assert sum(bins.values()) == s.dimension_counts[dim]
-        for unit, bins in s.exponent_hist_by_unit.items():
-            assert sum(bins.values()) == s.unit_counts[unit]
+        for dim, bins in s["exponent_hist_by_dimension"].items():
+            assert sum(bins.values()) == s["dimension_counts"][dim]
+        for unit, bins in s["exponent_hist_by_unit"].items():
+            assert sum(bins.values()) == s["unit_counts"][unit]
 
     def test_medians(self, reg):
         examples = ingest(
@@ -273,14 +272,19 @@ class TestStats:
             reg,
         ).examples
         s = stats(examples)
-        assert s.median_tokens == 4
-        assert s.median_characters == len("bb bb [#NUM] [#UNIT]")
+        assert s["median_tokens"] == 4
+        assert s["median_characters"] == len("bb bb [#NUM] [#UNIT]")
 
     def test_json_document_round_trips(self, reg):
         records = generate_records(SynthConfig(n_examples=50, seed=1), reg)
         s = stats(ingest(records, reg).examples)
-        doc = json.loads(json.dumps(s.to_json_dict()))
+        doc = json.loads(json.dumps(s))
+        assert doc == s and list(doc) == list(s)
         assert doc["n_examples"] == 50
+        for key in ("dimension_counts", "exponent_hist_by_unit"):
+            assert list(doc[key]) == sorted(doc[key])  # name order
+        for bins in doc["exponent_hist_by_dimension"].values():
+            assert list(bins) == [str(b) for b in sorted(map(int, bins))]  # bin order
 
 
 class TestLowerMedian:

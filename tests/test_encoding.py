@@ -7,15 +7,16 @@ import pytest
 from scipy import sparse
 
 from measured import encoding
-from measured.data import ingest
+from measured.cli import main
+from measured.data import ingest, write_jsonl
 from measured.encoding import (
     EncoderConfig,
     HashedNgramEncoder,
     _hash64,
-    export_embeddings,
     featurize,
     ngram_strings,
 )
+from measured.model import MeasurementModel, ModelSpec, save_model
 from measured.synth import SynthConfig, generate_records
 from measured.units import default_registry
 
@@ -280,15 +281,23 @@ class TestEncoderConfig:
 
 
 class TestExport:
-    def test_tsv_shape_and_labels(self, tmp_path):
+    def test_tsv_shape_and_labels(self, tmp_path, capsys):
+        """``measured export`` writes the checkpoint encoder's vectors and the labels."""
         reg = default_registry()
-        examples = ingest(
-            generate_records(SynthConfig(n_examples=5, seed=0), reg), reg
-        ).examples
+        records = generate_records(SynthConfig(n_examples=5, seed=0), reg)
+        examples = ingest(records, reg).examples
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl(corpus, records)
         enc = HashedNgramEncoder(EncoderConfig(feature_dim=128, hidden_dim=4), seed=0)
+        checkpoint = tmp_path / "model.npz"
+        save_model(MeasurementModel(ModelSpec("dim", 4), reg, enc), checkpoint)
         sink = tmp_path / "embeddings.tsv"
-        n = export_embeddings(enc, examples, sink)
-        assert n == 5
+        code = main([
+            "export", "--checkpoint", str(checkpoint), "--data", str(corpus),
+            "--out", str(sink),
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == f"export: wrote 5 rows to {sink}\n"
         lines = sink.read_text(encoding="utf-8").strip().split("\n")
         header = lines[0].split("\t")
         assert header == ["h_0", "h_1", "h_2", "h_3", "dimension", "unit", "exponent_bin"]

@@ -26,7 +26,7 @@ from measured.evaluation import (
     log_mae,
     unit_section,
 )
-from measured.model import MeasurementModel, MissingHead, ModelSpec
+from measured.model import MeasurementModel, MissingHead, ModelSpec, batch_arrays
 from measured.synth import SynthConfig, generate_records
 from measured.training import TrainConfig, train
 from measured.units import manhattan_distance, parse_registry
@@ -150,9 +150,17 @@ def unit_split(registry, train_units, test_units=("m",)):
     return DatasetSplit(examples(train_units), [], examples(test_units), 0)
 
 
+def split_arrays(registry, split_):
+    """The label arrays of a split's train and test examples."""
+    return batch_arrays(registry, split_.train), batch_arrays(registry, split_.test)
+
+
 class TestBaselines:
     def test_majority_simple(self, registry):
-        base = baselines(unit_split(registry, ["m", "m", "m", "s", "s"]), registry)
+        base = baselines(
+            *split_arrays(registry, unit_split(registry, ["m", "m", "m", "s", "s"])),
+            registry,
+        )
         assert base["majority_dimension"]["label"] == "length"
         assert base["majority_unit"]["label"] == "m"
         assert base["majority_dimension"]["accuracy"] == 1.0
@@ -160,18 +168,19 @@ class TestBaselines:
     def test_majority_tie_takes_lowest_class_index(self):
         for text, label in ((LENGTH_THEN_TIME, "length"), (TIME_THEN_LENGTH, "time")):
             reg = parse_registry(text)
-            base = baselines(unit_split(reg, ["s", "m"]), reg)
+            base = baselines(*split_arrays(reg, unit_split(reg, ["s", "m"])), reg)
             assert base["majority_dimension"]["label"] == label
 
     def test_empty_split_refused(self, registry):
         with pytest.raises(ValueError, match="non-empty training set"):
-            baselines(unit_split(registry, []), registry)
+            baselines(*split_arrays(registry, unit_split(registry, [])), registry)
+        no_test = unit_split(registry, ["m"], [])
         with pytest.raises(ValueError, match="test split is empty"):
-            baselines(unit_split(registry, ["m"], []), registry)
+            baselines(*split_arrays(registry, no_test), registry)
 
     def test_matches_per_example_label_loop(self, registry, corpus):
         """The id-based baselines against a loop over class names and numbers."""
-        base = baselines(corpus, registry)
+        base = baselines(*split_arrays(registry, corpus), registry)
         for key, classes, label in (
             ("majority_dimension", registry.dimensions, lambda ex: ex.dimension.name),
             ("majority_unit", registry.units, lambda ex: ex.unit.name),
@@ -491,7 +500,7 @@ class TestEvaluate:
         monkeypatch.setattr(evaluation, "batch_arrays", spy)
         report = evaluate(model, corpus)
         assert sorted(passes) == sorted([len(corpus.train), len(corpus.test)])
-        assert report.baselines == baselines(corpus, registry)
+        assert report.baselines == baselines(*split_arrays(registry, corpus), registry)
 
     def test_unsupported_probe_raises(self, registry, corpus):
         model = quick_model(registry, corpus, "dim", epochs=2)

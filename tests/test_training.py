@@ -608,6 +608,24 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(model, empty, self.config())
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("learning_rate", math.nan),
+            ("learning_rate", math.inf),
+            ("learning_rate", 0.0),
+            ("weight_decay", math.nan),
+            ("weight_decay", math.inf),
+            ("weight_decay", -1.0),
+        ],
+    )
+    def test_bad_rate_or_decay_refused(self, name, value):
+        rule = "finite and positive" if name == "learning_rate" else "finite and >= 0"
+        with pytest.raises(ValueError) as exc:
+            TrainConfig(**{name: value})
+        assert str(exc.value) == f"{name} must be {rule}, got {value!r}"
+        TrainConfig(learning_rate=1e-3, weight_decay=0.0)  # the edges that stay valid
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)

@@ -235,6 +235,22 @@ class TestRegistryFormat:
         with pytest.raises(RegistryError):
             parse_registry(text)
 
+    @pytest.mark.parametrize(
+        "scale, offset", [("inf", "0"), ("nan", "0"), ("1", "inf"), ("1", "nan")]
+    )
+    def test_non_finite_scale_or_offset(self, scale, offset):
+        text = (
+            "dim length L1 M0 T0 I0 Θ0 N0 J0\n"
+            "unit m length scale=1 offset=0\n"
+            f"unit km length scale={scale} offset={offset}\n"
+        )
+        with pytest.raises(RegistryError) as exc:
+            parse_registry(text)
+        assert str(exc.value) == (
+            "unit 'km' needs a finite positive scale and a finite offset, "
+            f"got scale={float(scale)!r} offset={float(offset)!r}"
+        )
+
     def test_nonpositive_scale(self):
         text = (
             "dim length L1 M0 T0 I0 Θ0 N0 J0\n"
